@@ -108,13 +108,17 @@ class EpTrace:
 
 
 def _chol_inverse_factors(a, jitter_scale=1e-12):
-    """Batched lower-triangular inverse of the Cholesky factor of `a`.
+    """Batched inverse of the lower Cholesky factor of `a`.
 
     One jittered retry on failure, after which FactorizationError
-    propagates the ill conditioning to the caller.
+    propagates the ill conditioning to the caller.  The factor L is
+    inverted by forward substitution, one row per step with the batch
+    vectorised: X[i, i] = 1 / L[i, i] and X[i, :i] = -(L[i, :i] @
+    X[:i, :i]) X[i, i].  That is n - 1 batched row-times-matrix products,
+    where a general solve would LU-factorise an already triangular
+    matrix, and the upper triangle of X is exactly zero.
     """
     n = a.shape[-1]
-    eye = np.broadcast_to(np.eye(n), a.shape)
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -128,7 +132,14 @@ def _chol_inverse_factors(a, jitter_scale=1e-12):
             raise FactorizationError(
                 "H^T H + Lambda is not positive definite"
             ) from exc
-    return np.linalg.solve(chol, eye)
+    inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
+    linv = np.zeros_like(chol)
+    linv[..., 0, 0] = inv_diag[..., 0]
+    for i in range(1, n):
+        row = chol[..., i : i + 1, :i] @ linv[..., :i, :i]
+        linv[..., i : i + 1, :i] = -row * inv_diag[..., i, None, None]
+        linv[..., i, i] = inv_diag[..., i]
+    return linv
 
 
 def _global_moments_batch(hth, hty, gamma, lam):

@@ -9,6 +9,7 @@ for any worker count.  Records append to CSV with the fixed column set
 
 import csv
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -248,7 +249,10 @@ def _epnet_schedule(config, snr_idx, snr_db, theta):
     if config.damping_source == "fixed":
         return _fixed_schedule(config)
     if config.damping_source == "table":
-        return np.asarray(config.damping_table)[0]
+        table = np.asarray(config.damping_table)
+        if table.ndim != 2 or table.shape[1] != config.ep_layers:
+            raise ValueError("damping table shape does not match receiver")
+        return table[0]
     if theta is None:
         raise ValueError("trained damping source requires optimizer weights")
     stats = ChannelStats(
@@ -321,6 +325,12 @@ def _build_variant(config, name, snr_idx, snr_db, theta):
     raise ValueError(f"unknown variant {name!r}")
 
 
+def _sub_variant_key(name):
+    """Order sub-variants by name, then numerically by a `-s<stage>` suffix."""
+    m = re.fullmatch(r"(.*)-s(\d+)", name)
+    return (m.group(1), int(m.group(2))) if m else (name, 0)
+
+
 def _chunk_task(args):
     config, variant, scale, master_seed, snr_idx, chunk_idx, n_frames = args
     rng = _chunk_rng(master_seed, snr_idx, chunk_idx)
@@ -377,11 +387,11 @@ def run_sweep(config, theta=None, extra_variants=None):
                             agg[3] += ferrs
                     # stop on the last sub-variant: it accumulates errors
                     # slowest, so every other sub-record has at least as many
-                    last = totals[sorted(totals)[-1]]
+                    last = totals[max(totals, key=_sub_variant_key)]
                     done = (last[1] >= config.min_bit_errors
                             or last[0] >= config.max_bits)
                 elapsed = time.perf_counter() - t0
-                for sub in sorted(totals):
+                for sub in sorted(totals, key=_sub_variant_key):
                     bits, errs, frames, ferrs = totals[sub]
                     records.append(BerRecord(sub, float(snr_db), bits, errs,
                                              frames, ferrs, elapsed))

@@ -250,12 +250,14 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
         return star_reduce(flat[:, mask0]) - star_reduce(flat[:, ~mask0])
 
     input_bits = np.tile(np.arange(2), (8, 1))
-    posterior = np.stack([bit_llr(i, input_bits) for i in range(k)], axis=1)
+    # the message posteriors are the first K systematic posteriors
+    steps = n if want_bit_posteriors else k
+    sys_post = np.stack([bit_llr(i, input_bits) for i in range(steps)], axis=1)
+    posterior = sys_post[:, :k]
     extrinsic = posterior - apriori - sys_llr[:, :k]
     if not want_bit_posteriors:
         return posterior, extrinsic
 
-    sys_post = np.stack([bit_llr(i, input_bits) for i in range(n)], axis=1)
     par_post = np.stack([bit_llr(i, tr.parity) for i in range(n)], axis=1)
     return posterior, extrinsic, sys_post, par_post
 

@@ -5,6 +5,7 @@ from epturbo.channel import RealChannelModel, real_embedding, sample_rayleigh
 from epturbo.epdetect import (
     DampingSchedule,
     EpConfig,
+    FactorizationError,
     JddReceiver,
     bits_from_real_symbols,
     cavity,
@@ -23,7 +24,9 @@ from epturbo.epdetect import (
     refine_pair,
     save_damping_table,
     sigmoid,
+    _chol_inverse_factors,
     _epnet_core,
+    _global_moments_batch,
     _ml_detect_batch,
 )
 from epturbo.modem import Constellation, llr_to_prior, map_bits, uniform_prior
@@ -117,6 +120,43 @@ class TestGlobalMoments:
         gamma = lam * mu_star
         mu, _ = ep_global_moments(gamma, lam, model)
         assert np.allclose(mu, mu_star, atol=1e-9)
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_inverse_factor_matches_dense_inverse(self, n):
+        rng = np.random.default_rng(n)
+        h = rng.normal(size=(32, 2 * n, n))
+        a = np.einsum("bri,brj->bij", h, h) + np.eye(n) * rng.uniform(
+            0.1, 3.0, size=(32, 1, n))
+        linv = _chol_inverse_factors(a)
+        assert np.all(np.triu(linv, 1) == 0.0)
+        ref = np.linalg.inv(np.linalg.cholesky(a))
+        assert np.allclose(linv, ref, rtol=1e-12, atol=1e-12)
+
+    def test_rank_deficient_batch_takes_jittered_retry(self):
+        # Lambda = 0 and a channel column of zeros (rank(H) < n): the
+        # first Cholesky hits an exact zero pivot, and the retry adds
+        # 1e-12 trace(a) / n to every diagonal of the batch
+        rng = np.random.default_rng(3)
+        n = 4
+        h = rng.normal(size=(3, 6, n))
+        h[1, :, 2] = 0.0
+        hth = np.einsum("bri,brj->bij", h, h)
+        hty = rng.normal(size=(3, n))
+        zeros = np.zeros((3, n))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(hth)
+        mu, sigma_diag, linv = _global_moments_batch(hth, hty, zeros, zeros)
+        jit = 1e-12 * np.trace(hth, axis1=1, axis2=2) / n
+        expect = _chol_inverse_factors(hth + jit[:, None, None] * np.eye(n))
+        assert np.array_equal(linv, expect)
+        assert np.all(np.isfinite(mu)) and np.all(sigma_diag > 0)
+
+    def test_indefinite_matrix_raises(self):
+        a = np.stack([np.eye(3), np.diag([2.0, -1.0, 1.0])])
+        with pytest.raises(FactorizationError):
+            _chol_inverse_factors(a)
 
 
 class TestCavity:

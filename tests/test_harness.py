@@ -119,6 +119,39 @@ class TestSweep:
         assert names == ["jdd-s1", "jdd-s2"]
         assert recs[0].bits == recs[1].bits
 
+    def test_ten_stage_rows_sort_numerically(self):
+        cfg = small_config(
+            nt=2, nr=2, mod_order=4, message_len=40,
+            variants=("jdd",), jdd_stages=10, ep_layers=2,
+            snr_mode="eb-coded", snr_grid_db=(2.0,),
+            max_bits=10**7, chunk_frames=32, decoder_iters=2,
+        )
+        recs = run_sweep(cfg)
+        assert [r.variant for r in recs] == [f"jdd-s{i}" for i in range(1, 11)]
+        assert recs[-1].bit_errors >= cfg.min_bit_errors
+
+    def test_stop_rule_reads_highest_stage(self):
+        # stages 1-9 pass the error floor on the first check, stage 10
+        # never errs: only the bit budget of stage 10 may end the point
+        class Staged:
+            def run_chunk(self, config, scale, rng, n_frames):
+                out = {f"x-s{i}": (100, 100, 1, 1) for i in range(1, 10)}
+                out["x-s10"] = (100, 0, 1, 0)
+                return out
+
+        cfg = small_config(variants=(), snr_grid_db=(0.0,),
+                           min_bit_errors=100, max_bits=2000)
+        recs = run_sweep(cfg, extra_variants={"x": Staged()})
+        assert [r.variant for r in recs] == [f"x-s{i}" for i in range(1, 11)]
+        assert recs[-1].bits == 2000  # 5 checks of 4 chunks
+
+    def test_table_shape_must_match_layers(self):
+        cfg = small_config(variants=("epnet",), ep_layers=5,
+                           damping_source="table",
+                           damping_table=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="damping table shape"):
+            run_sweep(cfg)
+
 
 class TestCalibration:
     def test_known_ber_synthetic_channel(self):

@@ -6,6 +6,7 @@ from epturbo.turbocode import (
     ScaledDecoderWeights,
     Trellis,
     TurboCodec,
+    _bcjr_batch,
     bcjr,
     decode_posteriors,
     encode,
@@ -169,6 +170,20 @@ class TestBcjr:
         tr = Trellis()
         with pytest.raises(ValueError):
             bcjr(np.zeros(9), np.zeros(8), np.zeros(6), tr, "log")
+
+    @pytest.mark.parametrize("algo", ["log", "max-log"])
+    def test_bit_posteriors_leave_message_outputs_unchanged(self, algo):
+        rng = np.random.default_rng(5)
+        tr = Trellis()
+        sys_llr = rng.normal(size=(16, 43)) * 3
+        par_llr = rng.normal(size=(16, 43)) * 3
+        apriori = rng.normal(size=(16, 40))
+        post, ext = _bcjr_batch(sys_llr, par_llr, apriori, tr, algo)
+        post_fb, ext_fb, sys_post, _ = _bcjr_batch(
+            sys_llr, par_llr, apriori, tr, algo, want_bit_posteriors=True)
+        assert np.array_equal(post, post_fb)
+        assert np.array_equal(ext, ext_fb)
+        assert np.array_equal(sys_post[:, :40], post)
 
 
 class TestInterleaver:
