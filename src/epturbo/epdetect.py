@@ -80,7 +80,6 @@ class EpConfig:
     min_var: float = 5e-7
     init_gamma: float = 0.0
     init_lambda: float = DEFAULT_INIT_LAMBDA
-    damping_source: str = "fixed"  # 'fixed' | 'table' | 'trained'
 
     def __post_init__(self):
         if self.min_var <= 0:
@@ -107,7 +106,7 @@ class EpTrace:
     lam: np.ndarray
 
 
-def _chol_inverse_factors(a, jitter_scale=1e-12):
+def _chol_inverse_factors(a, jitter_scale=1e-12, out=None):
     """Batched inverse of the lower Cholesky factor of `a`.
 
     One jittered retry on failure, after which FactorizationError
@@ -117,6 +116,9 @@ def _chol_inverse_factors(a, jitter_scale=1e-12):
     X[:i, :i]) X[i, i].  That is n - 1 batched row-times-matrix products,
     where a general solve would LU-factorise an already triangular
     matrix, and the upper triangle of X is exactly zero.
+
+    `out`, when given, receives X and is returned.  It may be `a`
+    itself, which is read only before X is written.
     """
     n = a.shape[-1]
     try:
@@ -133,7 +135,8 @@ def _chol_inverse_factors(a, jitter_scale=1e-12):
                 "H^T H + Lambda is not positive definite"
             ) from exc
     inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
-    linv = np.zeros_like(chol)
+    linv = np.empty_like(chol) if out is None else out
+    linv.fill(0.0)
     linv[..., 0, 0] = inv_diag[..., 0]
     for i in range(1, n):
         row = chol[..., i : i + 1, :i] @ linv[..., :i, :i]
@@ -142,17 +145,20 @@ def _chol_inverse_factors(a, jitter_scale=1e-12):
     return linv
 
 
-def _global_moments_batch(hth, hty, gamma, lam):
+def _global_moments_batch(hth, hty, gamma, lam, out=None):
     """Posterior moments of the Gaussian approximation, SPD solve only.
 
     Returns (mu, sigma_diag, linv); the full covariance is recovered from
-    linv when a caller needs it.
+    linv when a caller needs it.  `out`, an optional array shaped like
+    hth and reused across calls, holds H^T H / sigma^2 + Lambda and then
+    the inverse factor, which is returned as linv.
     """
-    a = hth.copy()
+    a = np.empty_like(hth) if out is None else out
+    np.copyto(a, hth)
     n = a.shape[-1]
     idx = np.arange(n)
     a[..., idx, idx] += lam
-    linv = _chol_inverse_factors(a)
+    linv = _chol_inverse_factors(a, out=out)
     sigma_diag = np.einsum("...ki,...ki->...i", linv, linv)
     rhs = hty + gamma
     t = np.einsum("...kj,...j->...k", linv, rhs)
@@ -223,17 +229,22 @@ class EpWorkspace:
     Precomputes H^T H / sigma^2 and H^T y / sigma^2 once; `run` executes
     the layer loop, optionally warm-starting from a cached intermediate
     state so finite-difference training only recomputes the layers a
-    perturbed damping factor can actually influence.
+    perturbed damping factor can actually influence.  Every layer of
+    every run factorises in the same batch-sized scratch array, so the
+    layer loop allocates no array of that size besides the Cholesky
+    factor itself.
     """
 
     def __init__(self, h_r, y_r, noise_var, prior_probs, constellation,
                  config):
-        self.hth = np.einsum("bri,brj->bij", h_r, h_r) / noise_var
+        self.hth = np.einsum("bri,brj->bij", h_r, h_r)
+        self.hth /= noise_var
         self.hty = np.einsum("bri,br->bi", h_r, y_r) / noise_var
         self.probs = prior_probs
         self.constellation = constellation
         self.config = config
         self.batch, self.n_dims = self.hty.shape
+        self.scratch = np.empty_like(self.hth)
 
     def initial_pair(self):
         cfg = self.config
@@ -250,8 +261,9 @@ class EpWorkspace:
         """Run layers start_layer..L-1 from `pair` (init pair when None).
 
         Returns (x_ab, v_ab, records) where records is a list with one
-        dict per executed layer; with record=False only the cavity means
-        are kept (the training loss needs nothing else).
+        dict per executed layer; with record=False it is empty, for
+        callers that need only the final cavity (inference and the
+        training loss).
         """
         betas_raw = np.asarray(betas_raw, dtype=float)
         gamma, lam = self.initial_pair() if pair is None else pair
@@ -259,8 +271,8 @@ class EpWorkspace:
         out = []
         x_ab = v_ab = None
         for l in range(start_layer, betas_raw.size):
-            mu, sigma_diag, _ = _global_moments_batch(self.hth, self.hty,
-                                                      gamma, lam)
+            mu, sigma_diag, _ = _global_moments_batch(
+                self.hth, self.hty, gamma, lam, out=self.scratch)
             x_ab, v_ab = cavity(mu, sigma_diag, gamma, lam, eps)
             x_b, v_b = discrete_moments(x_ab, v_ab, self.probs,
                                         self.constellation, eps)
@@ -274,8 +286,6 @@ class EpWorkspace:
                     "cand_gamma": cand[0], "cand_lam": cand[1],
                     "gamma_out": new_gamma, "lam_out": new_lam,
                 })
-            else:
-                out.append({"x_ab": x_ab})
             gamma, lam = new_gamma, new_lam
         return x_ab, v_ab, out
 
@@ -514,12 +524,10 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
             min_var=config.min_var,
             init_gamma=init_gamma,
             init_lambda=init_lambda,
-            damping_source=config.damping_source,
         )
-        x_ab, v_ab, _ = _epnet_core(
-            flat_h, flat_y, noise_var, prior_probs, c,
-            receiver.schedules[stage], cfg,
-        )
+        x_ab, v_ab, _ = EpWorkspace(flat_h, flat_y, noise_var, prior_probs, c,
+                                    cfg).run(receiver.schedules[stage],
+                                             record=False)
         llr = demap_llr(x_ab, v_ab, prior_probs, c)  # (B*P, nt, Q)
         llr_frame = llr.reshape(bsz, n_blocks * nt * q2)[:, : codec.n_coded]
         bits, _, ext = _decode_batch(

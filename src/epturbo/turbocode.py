@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modem import maxstar
+from .modem import maxstar, maxstar_reduce
 
 NEG_INF = -1e30
 
@@ -67,20 +67,24 @@ class Trellis:
         self.prev_input = np.array([[p[0][1], p[1][1]] for p in prev])
 
     def encode_stream(self, bits):
-        """Run the RSC over `bits`, then terminate: returns (parity, tail_sys, tail_par)."""
-        s = 0
-        parity = np.empty(len(bits), dtype=np.int64)
-        for k, u in enumerate(bits):
-            parity[k] = self.parity[s, u]
+        """Run the RSC over the last axis of `bits` ((K,) or (B, K)), then
+        terminate: returns (parity, tail_sys, tail_par) with the leading
+        shape of `bits`.  The batch is vectorised; the K steps are not."""
+        bits = np.asarray(bits, dtype=np.int64)
+        s = np.zeros(bits.shape[:-1], dtype=np.int64)
+        parity = np.empty(bits.shape, dtype=np.int64)
+        for k in range(bits.shape[-1]):
+            u = bits[..., k]
+            parity[..., k] = self.parity[s, u]
             s = self.next_state[s, u]
-        tail_sys = np.empty(3, dtype=np.int64)
-        tail_par = np.empty(3, dtype=np.int64)
+        tail_sys = np.empty(bits.shape[:-1] + (3,), dtype=np.int64)
+        tail_par = np.empty(bits.shape[:-1] + (3,), dtype=np.int64)
         for k in range(3):
             u = self.term_input[s]
-            tail_sys[k] = u
-            tail_par[k] = self.parity[s, u]
+            tail_sys[..., k] = u
+            tail_par[..., k] = self.parity[s, u]
             s = self.next_state[s, u]
-        assert s == 0, "termination must reach state 0"
+        assert np.all(s == 0), "termination must reach state 0"
         return parity, tail_sys, tail_par
 
 
@@ -153,16 +157,21 @@ class TurboCodec:
 
 
 def encode(msg, codec):
-    """Encode K message bits into the V-bit punctured turbo codeword."""
+    """Encode K message bits into the V-bit punctured turbo codeword.
+
+    `msg` is one message (K,) or a batch (B, K); the codeword has the
+    same leading shape.
+    """
     msg = np.asarray(msg, dtype=np.int64)
-    if msg.shape != (codec.k,):
+    if msg.ndim not in (1, 2) or msg.shape[-1] != codec.k:
         raise ValueError(f"message must have length {codec.k}")
     par1, t1s, t1p = codec.trellis.encode_stream(msg)
     par2, t2s, t2p = codec.trellis.encode_stream(codec.interleave(msg))
     punct = np.where(np.arange(codec.k) % 2 == 1, par1, par2)
-    tail1 = np.stack([t1s, t1p], axis=1).reshape(-1)
-    tail2 = np.stack([t2s, t2p], axis=1).reshape(-1)
-    return np.concatenate([msg, punct, tail1, tail2])
+    lead = msg.shape[:-1]
+    tail1 = np.stack([t1s, t1p], axis=-1).reshape(lead + (6,))
+    tail2 = np.stack([t2s, t2p], axis=-1).reshape(lead + (6,))
+    return np.concatenate([msg, punct, tail1, tail2], axis=-1)
 
 
 def _split_codeword_llrs(llrs, codec):
@@ -192,19 +201,30 @@ def _split_codeword_llrs(llrs, codec):
     return sys1, p1, sys2, p2
 
 
+# steps per block of the posterior evaluation in `_bcjr_batch`
+POSTERIOR_BLOCK = 16
+
+
 def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=False):
     """Forward-backward pass over (B, K+3) LLR arrays.
 
     Returns (posterior, extrinsic) for the K message bits; with
     `want_bit_posteriors` also the systematic and parity bit posteriors
     over all K + 3 steps (used for detector feedback).
+
+    Layout: time-major and state-major, with the batch innermost.  A step
+    has only four distinct branch metrics, kept as gamma (K+3, 4, B) and
+    indexed by the code 2u + p of input bit u and parity bit p; the alpha
+    and beta recursions run on contiguous (8, B) rows of (K+4, 8, B)
+    arrays.  The posteriors are evaluated over blocks of POSTERIOR_BLOCK
+    steps, each transition metric summed as (alpha + gamma) + beta and
+    folded over the states in ascending order, so every output is
+    bit-identical to a per-step evaluation in (B, 8, 2) layout.
     """
     if algo == "log":
-        star = maxstar
-        star_reduce = lambda x: np.logaddexp.reduce(x, axis=-1)
+        star, star_reduce = maxstar, maxstar_reduce
     elif algo == "max-log":
-        star = np.maximum
-        star_reduce = lambda x: np.max(x, axis=-1)
+        star, star_reduce = np.maximum, np.max
     else:
         raise ValueError(f"unknown BCJR algorithm {algo!r}")
 
@@ -216,50 +236,62 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     if par_llr.shape != (b, n) or n != k + 3:
         raise ValueError("misaligned BCJR input lengths")
     tr = trellis
+    code = 2 * np.arange(2) + tr.parity  # (8, 2): code of transition (s, u)
 
+    # branch metric of code 2u + p: (+-half_sys) + (+-half_par), sign - for 1
     la_full = np.concatenate([apriori, np.zeros((b, 3))], axis=1)
-    # branch metrics: gamma[b, k, s, u] with bit sign +1 for 0, -1 for 1
-    sgn_u = 1.0 - 2.0 * np.arange(2)
-    sgn_p = 1.0 - 2.0 * tr.parity  # (8, 2)
-    half_sys = 0.5 * (sys_llr + la_full)
-    gamma = (
-        half_sys[:, :, None, None] * sgn_u[None, None, None, :]
-        + 0.5 * par_llr[:, :, None, None] * sgn_p[None, None, :, :]
-    )
+    half_sys = (0.5 * (sys_llr + la_full)).T
+    half_par = (0.5 * par_llr).T
+    gamma = np.empty((n, 4, b))
+    np.add(half_sys, half_par, out=gamma[:, 0])
+    np.subtract(half_sys, half_par, out=gamma[:, 1])
+    np.add(-half_sys, half_par, out=gamma[:, 2])
+    np.subtract(-half_sys, half_par, out=gamma[:, 3])
 
-    alpha = np.full((n + 1, b, 8), NEG_INF)
-    alpha[0, :, 0] = 0.0
+    prev0, prev1 = tr.prev_state[:, 0], tr.prev_state[:, 1]
+    pcode0 = code[prev0, tr.prev_input[:, 0]]
+    pcode1 = code[prev1, tr.prev_input[:, 1]]
+    alpha = np.full((n + 1, 8, b), NEG_INF)
+    alpha[0, 0] = 0.0
     for i in range(n):
-        cand = alpha[i][:, tr.prev_state] + gamma[:, i][
-            :, tr.prev_state, tr.prev_input
-        ]
-        a = star_reduce(cand)
-        alpha[i + 1] = a - a.max(axis=1, keepdims=True)
+        a_i, g = alpha[i], gamma[i]
+        a = star(a_i[prev0] + g[pcode0], a_i[prev1] + g[pcode1])
+        np.subtract(a, a.max(axis=0), out=alpha[i + 1])
 
-    beta = np.full((n + 1, b, 8), NEG_INF)
-    beta[n, :, 0] = 0.0
+    next0, next1 = tr.next_state[:, 0], tr.next_state[:, 1]
+    code0, code1 = code[:, 0], code[:, 1]
+    beta = np.full((n + 1, 8, b), NEG_INF)
+    beta[n, 0] = 0.0
     for i in range(n - 1, -1, -1):
-        cand = beta[i + 1][:, tr.next_state] + gamma[:, i]
-        bt = star(cand[..., 0], cand[..., 1])
-        beta[i] = bt - bt.max(axis=1, keepdims=True)
+        b_i, g = beta[i + 1], gamma[i]
+        bt = star(b_i[next0] + g[code0], b_i[next1] + g[code1])
+        np.subtract(bt, bt.max(axis=0), out=beta[i])
 
-    def bit_llr(i, bit_of_transition):
-        full = alpha[i][:, :, None] + gamma[:, i] + beta[i + 1][:, tr.next_state]
-        flat = full.reshape(b, 16)
-        mask0 = (bit_of_transition.reshape(-1) == 0)
-        return star_reduce(flat[:, mask0]) - star_reduce(flat[:, ~mask0])
-
-    input_bits = np.tile(np.arange(2), (8, 1))
     # the message posteriors are the first K systematic posteriors
     steps = n if want_bit_posteriors else k
-    sys_post = np.stack([bit_llr(i, input_bits) for i in range(steps)], axis=1)
+    sys_post = np.empty((steps, b))
+    par_post = np.empty((n, b)) if want_bit_posteriors else None
+    parity0 = (tr.parity[:, 0] == 0)[:, None]  # u = 0 carries parity 0
+    for lo in range(0, steps, POSTERIOR_BLOCK):
+        hi = min(lo + POSTERIOR_BLOCK, steps)
+        a_blk, g_blk, b_blk = alpha[lo:hi], gamma[lo:hi], beta[lo + 1 : hi + 1]
+        # (steps, 8 states, B) metrics of the transitions with u = 0 and 1
+        full0 = a_blk + g_blk[:, code0]
+        full0 += b_blk[:, next0]
+        full1 = a_blk + g_blk[:, code1]
+        full1 += b_blk[:, next1]
+        sys_post[lo:hi] = star_reduce(full0, axis=1) - star_reduce(full1, axis=1)
+        if par_post is not None:
+            par_post[lo:hi] = (
+                star_reduce(np.where(parity0, full0, full1), axis=1)
+                - star_reduce(np.where(parity0, full1, full0), axis=1)
+            )
+    sys_post = sys_post.T
     posterior = sys_post[:, :k]
     extrinsic = posterior - apriori - sys_llr[:, :k]
     if not want_bit_posteriors:
         return posterior, extrinsic
-
-    par_post = np.stack([bit_llr(i, tr.parity) for i in range(n)], axis=1)
-    return posterior, extrinsic, sys_post, par_post
+    return posterior, extrinsic, sys_post, par_post.T
 
 
 def bcjr(sys_llr, par_llr, apriori_llr, trellis, algo):

@@ -5,6 +5,7 @@ from epturbo.channel import RealChannelModel, real_embedding, sample_rayleigh
 from epturbo.epdetect import (
     DampingSchedule,
     EpConfig,
+    EpWorkspace,
     FactorizationError,
     JddReceiver,
     bits_from_real_symbols,
@@ -152,6 +153,28 @@ class TestFactorization:
         expect = _chol_inverse_factors(hth + jit[:, None, None] * np.eye(n))
         assert np.array_equal(linv, expect)
         assert np.all(np.isfinite(mu)) and np.all(sigma_diag > 0)
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_scratch_array_gives_identical_moments(self, rank_deficient):
+        # the scratch holds a, then the inverse factor; stale contents of
+        # an earlier call, or the jittered retry, must not leak through
+        rng = np.random.default_rng(4)
+        n = 8
+        h = rng.normal(size=(16, 12, n))
+        if rank_deficient:
+            h[5, :, 1] = 0.0
+        hth = np.einsum("bri,brj->bij", h, h)
+        hty = rng.normal(size=(16, n))
+        gamma = rng.normal(size=(16, n))
+        lam = 0.0 if rank_deficient else rng.uniform(0.1, 2.0, (16, n))
+        lam = np.broadcast_to(lam, (16, n))
+        ref = _global_moments_batch(hth, hty, gamma, lam)
+        scratch = rng.normal(size=hth.shape)
+        for _ in range(2):
+            got = _global_moments_batch(hth, hty, gamma, lam, out=scratch)
+            assert got[2] is scratch
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r)
 
     def test_indefinite_matrix_raises(self):
         a = np.stack([np.eye(3), np.diag([2.0, -1.0, 1.0])])
@@ -355,6 +378,37 @@ class TestEpnetDetect:
             x, v, _ = epnet_detect(m, uniform_prior(c, 4), sched, EpConfig(layers=3))
             assert np.allclose(xb[i], x, atol=1e-13)
             assert np.allclose(vb[i], v, atol=1e-13)
+
+
+class TestUntracedRun:
+    """Inference paths run `EpWorkspace.run(raw, record=False)`."""
+
+    @pytest.mark.parametrize("per_instance", [False, True])
+    def test_equals_epnet_core_exactly(self, per_instance):
+        # scalar init pairs as in the uncoded sweep; per-instance arrays
+        # as in a JDD stage after decoder feedback
+        rng = np.random.default_rng(12)
+        c = Constellation(16)
+        b, n = 300, 8
+        h = rng.normal(size=(b, n, n))
+        y = rng.normal(scale=2.0, size=(b, n))
+        probs = rng.dirichlet(np.ones(4), size=(b, n))
+        if per_instance:
+            mean = probs @ c.amplitudes
+            var = np.maximum(probs @ c.amplitudes**2 - mean**2, 5e-7)
+            cfg = EpConfig(layers=5, init_gamma=mean / var,
+                           init_lambda=1.0 / var)
+        else:
+            cfg = EpConfig(layers=5)
+        raw = DampingSchedule.from_effective(
+            np.array([0.9, 0.5, 0.3, 0.2, 0.1])).raw
+        x_ref, v_ref, _ = _epnet_core(h, y, 0.5, probs, c, raw, cfg)
+        ws = EpWorkspace(h, y, 0.5, probs, c, cfg)
+        for _ in range(2):  # the factorisation buffers are reused
+            x, v, recs = ws.run(raw, record=False)
+            assert recs == []
+            assert np.array_equal(x, x_ref)
+            assert np.array_equal(v, v_ref)
 
 
 class TestMmse:

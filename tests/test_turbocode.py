@@ -125,6 +125,20 @@ class TestEncoder:
             encode(msg, codec)  # asserts state 0 internally
 
 
+    @pytest.mark.parametrize("k", [64, 50])  # QPP; seeded random interleaver
+    def test_batch_equals_per_frame(self, k):
+        codec = random_codec(k, seed=3)
+        assert (k in QPP_COEFFS) == (k == 64)
+        msgs = np.random.default_rng(k).integers(0, 2, (33, k))
+        batch = encode(msgs, codec)
+        assert batch.shape == (33, codec.n_coded)
+        for m, cw in zip(msgs, batch):
+            single = encode(m, codec)
+            assert single.shape == (codec.n_coded,)
+            assert np.array_equal(cw, single)
+            assert np.array_equal(single, encode(list(m), codec))
+
+
 class TestBcjr:
     def test_log_map_equals_exhaustive_map(self):
         # derived: K=6 exhaustive bitwise MAP oracle
