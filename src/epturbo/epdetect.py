@@ -158,7 +158,7 @@ def _global_moments_batch(hth, hty, gamma, lam, out=None):
     n = a.shape[-1]
     idx = np.arange(n)
     a[..., idx, idx] += lam
-    linv = _chol_inverse_factors(a, out=out)
+    linv = _chol_inverse_factors(a, out=a)
     sigma_diag = np.einsum("...ki,...ki->...i", linv, linv)
     rhs = hty + gamma
     t = np.einsum("...kj,...j->...k", linv, rhs)
@@ -291,14 +291,18 @@ class EpWorkspace:
 
 
 def _epnet_core(h_r, y_r, noise_var, prior_probs, constellation, betas_raw,
-                config):
+                config, record=True):
     """Batched EPNet: h_r (B, 2Nr, 2Nt), y_r (B, 2Nr), priors (B, 2Nt, m).
 
     Returns (x_ab, v_ab, trace) where the extrinsic output is the cavity
-    of the final layer, i.e. the moments the demapper consumes.
+    of the final layer, i.e. the moments the demapper consumes.  With
+    record=False the layers keep nothing and trace is None: the inference
+    paths read only the final cavity.
     """
     ws = EpWorkspace(h_r, y_r, noise_var, prior_probs, constellation, config)
-    x_ab, v_ab, recs = ws.run(betas_raw)
+    x_ab, v_ab, recs = ws.run(betas_raw, record=record)
+    if not record:
+        return x_ab, v_ab, None
     gamma0, lam0 = ws.initial_pair()
     trace = EpTrace(
         mu=np.stack([r["mu"] for r in recs]),
@@ -525,9 +529,9 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
             init_gamma=init_gamma,
             init_lambda=init_lambda,
         )
-        x_ab, v_ab, _ = EpWorkspace(flat_h, flat_y, noise_var, prior_probs, c,
-                                    cfg).run(receiver.schedules[stage],
-                                             record=False)
+        x_ab, v_ab, _ = _epnet_core(flat_h, flat_y, noise_var, prior_probs, c,
+                                    receiver.schedules[stage], cfg,
+                                    record=False)
         llr = demap_llr(x_ab, v_ab, prior_probs, c)  # (B*P, nt, Q)
         llr_frame = llr.reshape(bsz, n_blocks * nt * q2)[:, : codec.n_coded]
         bits, _, ext = _decode_batch(

@@ -20,8 +20,8 @@ from .channel import REAL_NOISE_VAR, SnrSpec, snr_scale, sample_correlated, samp
 from .epdetect import (
     DampingSchedule,
     EpConfig,
-    EpWorkspace,
     JddReceiver,
+    _epnet_core,
     _ml_detect_batch,
     bits_from_real_symbols,
     jdd_receive_batch,
@@ -182,8 +182,8 @@ class _UncodedDetector:
                 raw = self.schedule_raw
             probs = np.full((n_frames, n, m), 1.0 / m)
             cfg = EpConfig(layers=raw.size, min_var=config.ep_min_var)
-            x_ab, v_ab, _ = EpWorkspace(h_r, y_r, REAL_NOISE_VAR, probs, c,
-                                        cfg).run(raw, record=False)
+            x_ab, v_ab, _ = _epnet_core(h_r, y_r, REAL_NOISE_VAR, probs, c,
+                                        raw, cfg, record=False)
             llr = demap_llr(x_ab, v_ab, probs, c)
             rx = (llr.reshape(n_frames, -1) < 0).astype(np.int64)
         bit_errors = rx != tx
@@ -214,9 +214,9 @@ class _JddVariant:
         q2 = c.bits_per_symbol
         msgs = rng.integers(0, 2, (n_frames, codec.k))
         tx = np.empty((n_frames, n_blocks * config.nt * q2), dtype=np.int64)
-        tx[:, : codec.n_coded] = encode(msgs, codec)
         for f in range(n_frames):
-            tx[f, codec.n_coded :] = rng.integers(0, 2, filler * q2)
+            cw = encode(msgs[f], codec)
+            tx[f] = np.concatenate([cw, rng.integers(0, 2, filler * q2)])
         syms = map_bits(tx, c).reshape(n_frames, n_blocks, config.nt)
         h = _sample_channels(config, rng, n_frames * n_blocks)
         h = np.sqrt(scale) * h.reshape(n_frames, n_blocks, config.nr, config.nt)
@@ -476,9 +476,10 @@ def compare_oracle(oracle_config):
         h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
         y_r = np.concatenate([y.real, y.imag], axis=-1)
         probs = np.full((n, 2 * cfg.nt, c.n_amplitudes), 1.0 / c.n_amplitudes)
-        ep_cfg = EpConfig(layers=raw.size, min_var=cfg.min_var)
-        x_ab, v_ab, _ = EpWorkspace(h_r, y_r, REAL_NOISE_VAR, probs, c,
-                                    ep_cfg).run(raw, record=False)
+        x_ab, v_ab, _ = _epnet_core(h_r, y_r, REAL_NOISE_VAR, probs, c, raw,
+                                    EpConfig(layers=raw.size,
+                                             min_var=cfg.min_var),
+                                    record=False)
         llr = demap_llr(x_ab, v_ab, probs, c)
         ep_bits = (llr.reshape(n, -1) < 0).astype(np.int64)
         ml_bits = bits_from_real_symbols(_ml_detect_batch(h_r, y_r, c),

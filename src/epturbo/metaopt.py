@@ -23,8 +23,8 @@ from .channel import REAL_NOISE_VAR, SnrSpec, sample_correlated, sample_rayleigh
 from .epdetect import (
     DampingSchedule,
     EpConfig,
-    EpWorkspace,
     JddReceiver,
+    _epnet_core,
     sigmoid,
 )
 from .modem import Constellation, map_bits
@@ -460,6 +460,8 @@ def generate_training_set(stats, rng=None):
 
 
 def _workspace_for(dataset, layers, min_var):
+    from .epdetect import EpWorkspace
+
     cfg = EpConfig(
         layers=layers,
         min_var=min_var,
@@ -646,10 +648,10 @@ def online_train(receiver, channel_stats, theta, epochs=100, rng=None,
             # frozen forward pass of this stage to build the next stage inputs
             stage_cfg = EpConfig(layers=layers, min_var=cfg.min_var,
                                  init_gamma=init_gamma, init_lambda=init_lambda)
-            x_ab, v_ab, _ = EpWorkspace(
-                dataset.h_r, dataset.y_r, dataset.noise_var, prior_probs, c,
-                stage_cfg,
-            ).run(sched.raw, record=False)
+            x_ab, v_ab, _ = _epnet_core(
+                dataset.h_r, dataset.y_r, dataset.noise_var,
+                prior_probs, c, sched.raw, stage_cfg, record=False,
+            )
             llr = demap_llr(x_ab, v_ab, prior_probs, c)
             llr_frame = llr.reshape(b, n_blocks * nt * q2)[:, : receiver.codec.n_coded]
             _, _, ext = _decode_batch(

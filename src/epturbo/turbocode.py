@@ -15,6 +15,7 @@ positions decode as erasures (LLR 0).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +150,25 @@ class TurboCodec:
     def interleave(self, x):
         return np.asarray(x)[..., self.interleaver]
 
+    @cached_property
+    def generator(self):
+        """(K, V) generator matrix of the code, as floats for BLAS.
+
+        Row i is the codeword of the i-th unit message.  The zero-state
+        RSCs, their termination, the interleaver and the puncturing are
+        all linear over GF(2), so a message's codeword is the sum of its
+        rows mod 2; the sums stay below K, which float64 holds exactly.
+        The rows come from one batched run of both RSCs over the unit
+        messages.  K (2K + 12) entries: 72 kB at K = 64.
+        """
+        unit = np.eye(self.k, dtype=np.int64)
+        par1, t1s, t1p = self.trellis.encode_stream(unit)
+        par2, t2s, t2p = self.trellis.encode_stream(self.interleave(unit))
+        punct = np.where(np.arange(self.k) % 2 == 1, par1, par2)
+        tail1 = np.stack([t1s, t1p], axis=-1).reshape(self.k, 6)
+        tail2 = np.stack([t2s, t2p], axis=-1).reshape(self.k, 6)
+        return np.concatenate([unit, punct, tail1, tail2], axis=1).astype(float)
+
     def deinterleave(self, x):
         x = np.asarray(x)
         out = np.empty_like(x)
@@ -160,18 +180,13 @@ def encode(msg, codec):
     """Encode K message bits into the V-bit punctured turbo codeword.
 
     `msg` is one message (K,) or a batch (B, K); the codeword has the
-    same leading shape.
+    same leading shape.  It is msg @ codec.generator mod 2, so one frame
+    costs one small matrix-vector product.
     """
     msg = np.asarray(msg, dtype=np.int64)
     if msg.ndim not in (1, 2) or msg.shape[-1] != codec.k:
         raise ValueError(f"message must have length {codec.k}")
-    par1, t1s, t1p = codec.trellis.encode_stream(msg)
-    par2, t2s, t2p = codec.trellis.encode_stream(codec.interleave(msg))
-    punct = np.where(np.arange(codec.k) % 2 == 1, par1, par2)
-    lead = msg.shape[:-1]
-    tail1 = np.stack([t1s, t1p], axis=-1).reshape(lead + (6,))
-    tail2 = np.stack([t2s, t2p], axis=-1).reshape(lead + (6,))
-    return np.concatenate([msg, punct, tail1, tail2], axis=-1)
+    return (msg @ codec.generator).astype(np.int64) & 1
 
 
 def _split_codeword_llrs(llrs, codec):
@@ -201,8 +216,13 @@ def _split_codeword_llrs(llrs, codec):
     return sys1, p1, sys2, p2
 
 
-# steps per block of the posterior evaluation in `_bcjr_batch`
-POSTERIOR_BLOCK = 16
+# Steps per block of the posterior evaluation in `_bcjr_batch`.  Each
+# block's transition metrics are (block, 8, B) floats, 256 kB at B = 512.
+# At B = 512, K = 64 one call with bit posteriors took 2.7-3.3 ms with 8,
+# 3.9-4.3 ms with 16, and 5.8-7.2 ms with one block over all steps, whose
+# temporaries are 2.2 MB each; one 4-iteration decode with feedback took
+# 24-29, 26-29 and 33-39 ms.
+POSTERIOR_BLOCK = 8
 
 
 def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=False):
@@ -215,11 +235,12 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     Layout: time-major and state-major, with the batch innermost.  A step
     has only four distinct branch metrics, kept as gamma (K+3, 4, B) and
     indexed by the code 2u + p of input bit u and parity bit p; the alpha
-    and beta recursions run on contiguous (8, B) rows of (K+4, 8, B)
-    arrays.  The posteriors are evaluated over blocks of POSTERIOR_BLOCK
-    steps, each transition metric summed as (alpha + gamma) + beta and
-    folded over the states in ascending order, so every output is
-    bit-identical to a per-step evaluation in (B, 8, 2) layout.
+    and beta recursions run on contiguous (8, B) rows of one
+    (2, K+4, 8, B) array.  The posteriors are evaluated over blocks of
+    POSTERIOR_BLOCK steps, each transition metric summed as
+    (alpha + gamma) + beta and folded over the states in ascending order,
+    so every output is bit-identical to a per-step evaluation in
+    (B, 8, 2) layout.
     """
     if algo == "log":
         star, star_reduce = maxstar, maxstar_reduce
@@ -251,7 +272,14 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     prev0, prev1 = tr.prev_state[:, 0], tr.prev_state[:, 1]
     pcode0 = code[prev0, tr.prev_input[:, 0]]
     pcode1 = code[prev1, tr.prev_input[:, 1]]
-    alpha = np.full((n + 1, 8, b), NEG_INF)
+    # One allocation for both, 4.5 MB at B = 512, K = 64.  Freeing it
+    # raises glibc's dynamic mmap threshold, and the heap trim threshold
+    # with it, to that size, so the EP arrays of later work in the same
+    # process stay on a heap that is not trimmed after every layer.  With
+    # two 2.2 MB arrays, the EP and online-training figures of the
+    # benchmark's sweep-jdd runs were 2-5% slower than with the
+    # (B, K+3, 8, 2) decoder (1-2 wins in 10 pairs); with one, they are not.
+    alpha, beta = np.full((2, n + 1, 8, b), NEG_INF)
     alpha[0, 0] = 0.0
     for i in range(n):
         a_i, g = alpha[i], gamma[i]
@@ -260,7 +288,6 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
 
     next0, next1 = tr.next_state[:, 0], tr.next_state[:, 1]
     code0, code1 = code[:, 0], code[:, 1]
-    beta = np.full((n + 1, 8, b), NEG_INF)
     beta[n, 0] = 0.0
     for i in range(n - 1, -1, -1):
         b_i, g = beta[i + 1], gamma[i]

@@ -381,7 +381,8 @@ class TestEpnetDetect:
 
 
 class TestUntracedRun:
-    """Inference paths run `EpWorkspace.run(raw, record=False)`."""
+    """Inference paths run `_epnet_core(..., record=False)`, which runs
+    `EpWorkspace.run(raw, record=False)` and stacks no trace."""
 
     @pytest.mark.parametrize("per_instance", [False, True])
     def test_equals_epnet_core_exactly(self, per_instance):
@@ -403,6 +404,10 @@ class TestUntracedRun:
         raw = DampingSchedule.from_effective(
             np.array([0.9, 0.5, 0.3, 0.2, 0.1])).raw
         x_ref, v_ref, _ = _epnet_core(h, y, 0.5, probs, c, raw, cfg)
+        x, v, trace = _epnet_core(h, y, 0.5, probs, c, raw, cfg, record=False)
+        assert trace is None
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(v, v_ref)
         ws = EpWorkspace(h, y, 0.5, probs, c, cfg)
         for _ in range(2):  # the factorisation buffers are reused
             x, v, recs = ws.run(raw, record=False)

@@ -127,15 +127,25 @@ class TestEncoder:
 
     @pytest.mark.parametrize("k", [64, 50])  # QPP; seeded random interleaver
     def test_batch_equals_per_frame(self, k):
+        # reference: both RSCs stepped over one message at a time, as the
+        # codeword layout in the module docstring defines it
         codec = random_codec(k, seed=3)
         assert (k in QPP_COEFFS) == (k == 64)
         msgs = np.random.default_rng(k).integers(0, 2, (33, k))
         batch = encode(msgs, codec)
         assert batch.shape == (33, codec.n_coded)
+        assert batch.dtype == np.int64
+        odd = np.arange(k) % 2 == 1
         for m, cw in zip(msgs, batch):
+            par1, t1s, t1p = codec.trellis.encode_stream(m)
+            par2, t2s, t2p = codec.trellis.encode_stream(codec.interleave(m))
+            ref = np.concatenate([m, np.where(odd, par1, par2),
+                                  np.stack([t1s, t1p], axis=-1).ravel(),
+                                  np.stack([t2s, t2p], axis=-1).ravel()])
             single = encode(m, codec)
             assert single.shape == (codec.n_coded,)
-            assert np.array_equal(cw, single)
+            assert np.array_equal(cw, ref)
+            assert np.array_equal(single, ref)
             assert np.array_equal(single, encode(list(m), codec))
 
 
