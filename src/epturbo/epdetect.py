@@ -3,7 +3,12 @@
 The detector unfolds L EP iterations, each smoothing its site update with
 a sigmoid-constrained damping factor, and emits the cavity (extrinsic)
 moments of the last iteration, whose mean the online training loss
-scores, together with the per-layer trace.  Baselines (single-pass
+scores, together with the per-layer trace.  The last layer's tilted
+moments and damped site update come after that cavity and reach no
+output, so a run that keeps no trace (inference, the training loss's
+warm-started tails) stops at the last cavity; a traced run still
+computes and records them.  The log prior the tilted moments need is
+computed once per run, not once per layer.  Baselines (single-pass
 MMSE, brute force ML) and the joint detection/decoding loop live here
 as well.
 
@@ -17,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import REAL_NOISE_VAR
-from .modem import LLR_CLAMP, SymbolPrior, demap_llr, prior_probs_from_llr
+from .modem import (
+    LLR_CLAMP,
+    SymbolPrior,
+    demap_llr,
+    fold_columns,
+    prior_probs_from_llr,
+    sum_columns,
+)
 from .turbocode import _decode_batch
 
 # initial site precision 1/(2 Es) for the unit-energy constellation
@@ -191,18 +203,70 @@ def cavity(mu, sigma_diag, gamma, lam, min_var):
     return x, v
 
 
-def discrete_moments(cav_mean, cav_var, prior, constellation, min_var):
-    """Mean/variance of the tilted distribution cavity * prior per dimension."""
+def tilt_log_prior(prior):
+    """log(max(probs, 1e-300)) amplitude-major, shape (m,) + probs.shape[:-1].
+
+    The log prior `discrete_moments` adds to the cavity's log-likelihood;
+    a caller that evaluates several layers on one batch computes it once.
+    When every entry of probs is the same, as for the uniform priors of
+    uncoded detection and of a first JDD stage, it is that one value's
+    log, shaped (1,) * probs.ndim, and broadcasts.
+    """
     probs = prior.probs if isinstance(prior, SymbolPrior) else np.asarray(prior)
+    if probs.size and probs.min() == probs.max():
+        src = probs.reshape(-1)[:1].reshape((1,) * probs.ndim)
+    else:
+        src = np.moveaxis(probs, -1, 0)
+    log_prior = np.maximum(src, 1e-300, out=np.empty(src.shape))
+    return np.log(log_prior, out=log_prior)
+
+
+def discrete_moments(cav_mean, cav_var, prior, constellation, min_var,
+                     log_prior=None):
+    """Mean/variance of the tilted distribution cavity * prior per dimension.
+
+    The m amplitudes of a dimension are a handful of entries, so the log
+    weights live amplitude-major and their max and sum over the
+    amplitudes are m - 1 elementwise steps over whole columns, in the
+    order numpy's reductions over that axis take (`sum_columns`).  The
+    normalised weights and the squared deviations (amps - x_b)^2 are
+    written amplitude-minor, because `w @ amps` and the variance einsum
+    give the reductions' results bit for bit only on that layout.  Two
+    work arrays serve the whole call, the deviations reusing the log
+    weights' buffer, so the call holds no more memory than the
+    reductions' temporaries did.  `log_prior`, from
+    `tilt_log_prior(prior)`, lets a caller that runs many layers on one
+    batch compute it once; the results are the same without it.
+    """
     amps = constellation.amplitudes
-    logw = np.log(np.maximum(probs, 1e-300)) - (
-        (amps - cav_mean[..., None]) ** 2
-    ) / (2.0 * cav_var[..., None])
-    logw -= logw.max(axis=-1, keepdims=True)
-    w = np.exp(logw)
-    w /= w.sum(axis=-1, keepdims=True)
+    m = amps.size
+    if log_prior is None:
+        log_prior = tilt_log_prior(prior)
+    shape = np.broadcast_shapes(log_prior.shape[1:], np.shape(cav_mean))
+    log_prior = log_prior.reshape(
+        log_prior.shape[:1] + (1,) * (len(shape) + 1 - log_prior.ndim)
+        + log_prior.shape[1:])
+    logw = np.empty((m,) + shape)
+    w = np.empty(shape + (m,))
+    column = amps.reshape((m,) + (1,) * len(shape))
+
+    np.subtract(column, cav_mean, out=logw)
+    np.square(logw, out=logw)
+    np.divide(logw, 2.0 * cav_var, out=logw)
+    np.subtract(log_prior, logw, out=logw)
+    top = fold_columns(np.maximum, logw, out=np.empty(shape))
+    np.subtract(logw, top, out=logw)
+    np.exp(logw, out=logw)
+    total = sum_columns(logw, out=top)
+    np.divide(logw, total, out=np.moveaxis(w, -1, 0))
     x_b = w @ amps
-    v_b = np.einsum("...k,...k->...", w, (amps - x_b[..., None]) ** 2)
+    dev = logw.reshape(shape + (m,))
+    np.copyto(dev, x_b[..., None])
+    n = shape[-1] if shape else 1
+    rows = dev.reshape(-1, n * m)
+    np.subtract(np.tile(amps, n), rows, out=rows)
+    np.square(dev, out=dev)
+    v_b = np.einsum("...k,...k->...", w, dev)
     return x_b, np.maximum(v_b, min_var)
 
 
@@ -263,19 +327,31 @@ class EpWorkspace:
         Returns (x_ab, v_ab, records) where records is a list with one
         dict per executed layer; with record=False it is empty, for
         callers that need only the final cavity (inference and the
-        training loss).
+        training loss).  With record=False the last layer also stops at
+        its cavity: its tilted moments and damped site update reach no
+        output.  The log prior of the tilted moments is computed once
+        per run, at the first layer that needs it.  It is the run's one
+        extra array, so without records each layer's intermediates are
+        released before the next layer factorises, and the run's peak
+        memory stays below that of keeping them.
         """
         betas_raw = np.asarray(betas_raw, dtype=float)
         gamma, lam = self.initial_pair() if pair is None else pair
         eps = self.config.min_var
+        last = betas_raw.size - 1
         out = []
         x_ab = v_ab = None
-        for l in range(start_layer, betas_raw.size):
+        log_prior = None
+        for l in range(start_layer, last + 1):
             mu, sigma_diag, _ = _global_moments_batch(
                 self.hth, self.hty, gamma, lam, out=self.scratch)
             x_ab, v_ab = cavity(mu, sigma_diag, gamma, lam, eps)
+            if l == last and not record:
+                break
+            if log_prior is None:
+                log_prior = tilt_log_prior(self.probs)
             x_b, v_b = discrete_moments(x_ab, v_ab, self.probs,
-                                        self.constellation, eps)
+                                        self.constellation, eps, log_prior)
             cand = refine_pair(gamma, lam, x_ab, v_ab, x_b, v_b)
             new_gamma, new_lam = damp((gamma, lam), cand, betas_raw[l])
             if record:
@@ -287,6 +363,7 @@ class EpWorkspace:
                     "gamma_out": new_gamma, "lam_out": new_lam,
                 })
             gamma, lam = new_gamma, new_lam
+            del mu, sigma_diag, x_b, v_b, cand, new_gamma, new_lam
         return x_ab, v_ab, out
 
 
@@ -304,6 +381,7 @@ def _epnet_core(h_r, y_r, noise_var, prior_probs, constellation, betas_raw,
     if not record:
         return x_ab, v_ab, None
     gamma0, lam0 = ws.initial_pair()
+    del ws  # stack the trace without the batch-sized factorisation buffers
     trace = EpTrace(
         mu=np.stack([r["mu"] for r in recs]),
         sigma_diag=np.stack([r["sigma_diag"] for r in recs]),
@@ -346,13 +424,11 @@ def mmse_detect(model, prior, config=None):
     return x, v
 
 
-def pair_from_prior(prior, min_var):
-    """Gaussian site pair matching a prior's moments (stage feedback rule)."""
-    var = np.maximum(prior.var if isinstance(prior, SymbolPrior) else prior[1],
-                     min_var)
-    mean = prior.mean if isinstance(prior, SymbolPrior) else prior[0]
-    lam = 1.0 / var
-    return mean * lam, lam
+def site_pair(mean, var, min_var):
+    """Gaussian site pair (gamma, Lambda) = (mean / var, 1 / var) matching a
+    prior's moments, with the variance floored at min_var."""
+    var = np.maximum(var, min_var)
+    return mean / var, 1.0 / var
 
 
 def _candidate_grid(constellation, n_dims):
@@ -496,6 +572,29 @@ def frame_geometry(codec, constellation, nt):
     return n_sym, n_blocks, n_blocks * nt - n_sym
 
 
+def stage_feedback(ext, receiver, nt):
+    """The next JDD stage's EP inputs from decoder extrinsic LLRs (B, V).
+
+    The extrinsic is scaled by the receiver's feedback_scale, clipped,
+    and turned into amplitude priors; filler symbols get a zero LLR, so
+    their prior stays uniform.  The initial site pair matches the
+    priors' moments (`site_pair`).  Returns (prior_probs, init_gamma,
+    init_lambda) over the (B * P, 2 nt) real dimensions of the frames'
+    P blocks.
+    """
+    c = receiver.constellation
+    codec = receiver.codec
+    q2 = c.bits_per_symbol
+    _, n_blocks, _ = frame_geometry(codec, c, nt)
+    fb = np.zeros((ext.shape[0], n_blocks * nt * q2))
+    fb[:, : codec.n_coded] = np.clip(receiver.feedback_scale * ext,
+                                     -LLR_CLAMP, LLR_CLAMP)
+    probs = prior_probs_from_llr(fb.reshape(-1, nt, q2), c)
+    mean = probs @ c.amplitudes
+    var = probs @ c.amplitudes**2 - mean**2
+    return (probs, *site_pair(mean, var, receiver.config.min_var))
+
+
 def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
     """Run the I-stage turbo receiver over a batch of codeword frames.
 
@@ -510,7 +609,6 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
     n_sym, n_blocks_expect, _ = frame_geometry(codec, c, nt)
     if n_blocks != n_blocks_expect:
         raise ValueError("frame geometry mismatch")
-    q2 = c.bits_per_symbol
     m = c.n_amplitudes
     n = 2 * nt
     flat_h = h_r.reshape(-1, *h_r.shape[2:])
@@ -533,7 +631,7 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
                                     receiver.schedules[stage], cfg,
                                     record=False)
         llr = demap_llr(x_ab, v_ab, prior_probs, c)  # (B*P, nt, Q)
-        llr_frame = llr.reshape(bsz, n_blocks * nt * q2)[:, : codec.n_coded]
+        llr_frame = llr.reshape(bsz, -1)[:, : codec.n_coded]
         bits, _, ext = _decode_batch(
             llr_frame, codec, receiver.decoder_iters, want_feedback=True
         )
@@ -541,17 +639,8 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
         ext_stages.append(ext)
 
         if stage + 1 < receiver.n_stages:
-            fb = np.zeros((bsz, n_blocks * nt * q2))
-            fb[:, : codec.n_coded] = np.clip(
-                receiver.feedback_scale * ext, -LLR_CLAMP, LLR_CLAMP
-            )
-            fb = fb.reshape(bsz * n_blocks, nt, q2)
-            prior_probs = prior_probs_from_llr(fb, c)
-            mean = prior_probs @ c.amplitudes
-            var = prior_probs @ c.amplitudes**2 - mean**2
-            var = np.maximum(var, config.min_var)
-            init_lambda = 1.0 / var
-            init_gamma = mean / var
+            prior_probs, init_gamma, init_lambda = stage_feedback(
+                ext, receiver, nt)
 
     return JddResult(
         bits_per_stage=np.stack(bits_stages),

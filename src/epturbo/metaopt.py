@@ -26,6 +26,7 @@ from .epdetect import (
     JddReceiver,
     _epnet_core,
     sigmoid,
+    stage_feedback,
 )
 from .modem import Constellation, map_bits
 
@@ -495,7 +496,12 @@ def epnet_loss_and_grad(beta_raw, dataset, min_var=5e-7, fd_step=1e-3,
     def output_loss(x_ab):
         return float(np.mean(np.sum((x_ab - dataset.x_r) ** 2, axis=-1)))
 
-    x_out, _, recs = ws.run(beta_raw)
+    # the warm starts need layers 0..L-2 recorded; the last layer only
+    # its cavity
+    _, _, recs = ws.run(beta_raw[:-1])
+    pair = (recs[-1]["gamma_out"], recs[-1]["lam_out"]) if recs else None
+    x_out, _, _ = ws.run(beta_raw, start_layer=n_layers - 1, pair=pair,
+                         record=False)
     center = output_loss(x_out)
 
     grad = np.zeros_like(beta_raw)
@@ -518,10 +524,14 @@ def train_schedule(theta, dataset, layers, epochs=100, beta_init=1.0,
     """Train one stage's damping schedule with the LSTM optimizer.
 
     `beta_init` is the raw starting schedule, a scalar or one value per
-    layer.  Stops early once the relative loss improvement over the
-    plateau window falls below the tolerance.  Returns (schedule, loss
-    curve), where the schedule is the best iterate seen, so training
-    never ends worse than its starting point on the training set.
+    layer.  The last layer's damping acts after the emitted cavity, so
+    its gradient is exactly 0 and training leaves it at its starting
+    value: the LSTM still runs on all L coordinates, and that
+    coordinate's step is dropped.  Stops early once the relative loss
+    improvement over the plateau window falls below the tolerance.
+    Returns (schedule, loss curve), where the schedule is the best
+    iterate seen, so training never ends worse than its starting point
+    on the training set.
     """
     beta = np.broadcast_to(np.asarray(beta_init, dtype=float),
                            (layers,)).copy()
@@ -533,6 +543,7 @@ def train_schedule(theta, dataset, layers, epochs=100, beta_init=1.0,
     best_beta, best_loss = beta.copy(), loss
     for _ in range(epochs):
         step, state = lstm_step(theta, grad, state)
+        step[-1] = 0.0
         beta = beta + step
         loss, grad = epnet_loss_and_grad(beta, dataset, min_var, workspace=ws)
         losses.append(loss)
@@ -610,8 +621,6 @@ def online_train(receiver, channel_stats, theta, epochs=100, rng=None,
         )
         return trained, [curve]
 
-    from .modem import prior_probs_from_llr
-    from .modem import LLR_CLAMP as _clamp
     from .modem import demap_llr
     from .turbocode import _decode_batch
 
@@ -619,7 +628,6 @@ def online_train(receiver, channel_stats, theta, epochs=100, rng=None,
     h_r, y_r, x_r, _ = _codeword_training_set(receiver, channel_stats, rng)
     b, n_blocks = h_r.shape[:2]
     nt = h_r.shape[-1] // 2
-    q2 = c.bits_per_symbol
     m = c.n_amplitudes
     flat = lambda a: a.reshape(-1, *a.shape[2:])
 
@@ -653,20 +661,13 @@ def online_train(receiver, channel_stats, theta, epochs=100, rng=None,
                 prior_probs, c, sched.raw, stage_cfg, record=False,
             )
             llr = demap_llr(x_ab, v_ab, prior_probs, c)
-            llr_frame = llr.reshape(b, n_blocks * nt * q2)[:, : receiver.codec.n_coded]
+            llr_frame = llr.reshape(b, -1)[:, : receiver.codec.n_coded]
             _, _, ext = _decode_batch(
                 llr_frame, receiver.codec, receiver.decoder_iters,
                 want_feedback=True,
             )
-            fb = np.zeros((b, n_blocks * nt * q2))
-            fb[:, : receiver.codec.n_coded] = np.clip(
-                receiver.feedback_scale * ext, -_clamp, _clamp
-            )
-            prior_probs = prior_probs_from_llr(fb.reshape(b * n_blocks, nt, q2), c)
-            mean = prior_probs @ c.amplitudes
-            var = np.maximum(prior_probs @ c.amplitudes**2 - mean**2, cfg.min_var)
-            init_lambda = 1.0 / var
-            init_gamma = mean / var
+            prior_probs, init_gamma, init_lambda = stage_feedback(
+                ext, receiver, nt)
 
     trained = JddReceiver(
         codec=receiver.codec, constellation=c,

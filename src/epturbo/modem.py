@@ -25,6 +25,42 @@ def maxstar_reduce(x, axis=-1):
     return np.logaddexp.reduce(x, axis=axis)
 
 
+def fold_columns(ufunc, cols, out=None):
+    """`ufunc` folded left over the equal-shape arrays `cols`.
+
+    Over 2-8 entries this is `ufunc.reduce` along the stacking axis with
+    the same operands in the same order, without the per-row overhead a
+    reduction over a tiny axis pays.
+    """
+    if len(cols) == 1:
+        if out is None:
+            return cols[0]
+        np.copyto(out, cols[0])
+        return out
+    acc = ufunc(cols[0], cols[1], out=out)
+    for c in cols[2:]:
+        ufunc(acc, c, out=acc)
+    return acc
+
+
+def sum_columns(cols, out=None):
+    """Sum of the equal-shape arrays `cols`, added as numpy's pairwise
+    summation adds a reduced axis of that length (at most 8 entries): a
+    left fold below 8 entries, the balanced tree
+    ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)) at 8.  So it equals
+    `np.stack(cols, axis=-1).sum(axis=-1)` bit for bit.
+    """
+    if len(cols) > 8:
+        raise ValueError("sum_columns reproduces reductions of <= 8 entries")
+    if len(cols) < 8:
+        return fold_columns(np.add, cols, out)
+    lo = np.add(cols[0], cols[1])
+    lo += np.add(cols[2], cols[3])
+    hi = np.add(cols[4], cols[5])
+    hi += np.add(cols[6], cols[7])
+    return np.add(lo, hi, out=out)
+
+
 def _gray_codes(n_bits):
     """Binary-reflected Gray sequence for indices 0 .. 2**n_bits - 1."""
     idx = np.arange(1 << n_bits)
@@ -226,31 +262,45 @@ def demap_llr(ext_mean, ext_var, prior, constellation):
 
 
 def _demap_dims(mean, var, probs, constellation):
-    """Per-dimension bit LLRs; mean/var/probs may carry leading batch axes."""
+    """Per-dimension bit LLRs; mean/var/probs may carry leading batch axes.
+
+    The m amplitudes and q bits of a rail are a handful of entries, so
+    every sum and max* over them runs as elementwise steps over whole
+    (..., 2n) columns, folded in the order the reductions over those axes
+    take (`sum_columns`, `fold_columns`), which keeps the LLRs bit for
+    bit those of the reductions.
+    """
     amps = constellation.amplitudes
     labels = constellation.labels
     q = constellation.bits_per_dim
+    m = amps.size
+    cols = [probs[..., k] for k in range(m)]
 
-    gauss = -((amps - mean[..., None]) ** 2) / (2.0 * var[..., None])
-    # per-bit prior marginals recovered from the amplitude probabilities
-    log_bit = np.empty(mean.shape + (q, 2))
+    # Gaussian log-likelihood of each amplitude, amplitude-major
+    logw = np.subtract(amps.reshape((m,) + (1,) * mean.ndim), mean)
+    np.square(logw, out=logw)
+    np.negative(logw, out=logw)
+    logw /= 2.0 * var
+    # per-bit prior marginals recovered from the amplitude probabilities:
+    # log_bit[j][b] is log P(bit j = b)
+    log_bit = []
     for j in range(q):
-        p0 = probs[..., labels[:, j] == 0].sum(axis=-1)
-        log_bit[..., j, 0] = np.log(np.maximum(p0, 1e-300))
-        log_bit[..., j, 1] = np.log(np.maximum(1.0 - p0, 1e-300))
+        p0 = sum_columns([cols[k] for k in range(m) if labels[k, j] == 0])
+        log_bit.append((np.log(np.maximum(p0, 1e-300)),
+                        np.log(np.maximum(1.0 - p0, 1e-300))))
 
-    # log prior of each amplitude as a product over bits, then exclude the
-    # bit being demapped so its own prior never feeds back
-    own = np.empty(mean.shape + (q, amps.size))
-    for j in range(q):
-        own[..., j, :] = log_bit[..., j, labels[:, j]]
-    total = own.sum(axis=-2)
+    # add the log prior of each amplitude as a product over bits, then
+    # exclude the bit being demapped so its own prior never feeds back
+    own = [[log_bit[j][labels[k, j]] for j in range(q)] for k in range(m)]
+    for k in range(m):
+        logw[k] += sum_columns(own[k])
 
     llr = np.empty(mean.shape + (q,))
     for j in range(q):
-        w = gauss + total - own[..., j, :]
-        mask0 = labels[:, j] == 0
-        num = maxstar_reduce(w[..., mask0], axis=-1)
-        den = maxstar_reduce(w[..., ~mask0], axis=-1)
-        llr[..., j] = num - den
-    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
+        w = [logw[k] - own[k][j] for k in range(m)]
+        num = fold_columns(np.logaddexp,
+                           [w[k] for k in range(m) if labels[k, j] == 0])
+        den = fold_columns(np.logaddexp,
+                           [w[k] for k in range(m) if labels[k, j] == 1])
+        np.subtract(num, den, out=llr[..., j])
+    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)

@@ -21,10 +21,10 @@ from epturbo.epdetect import (
     load_damping_table,
     ml_detect,
     mmse_detect,
-    pair_from_prior,
     refine_pair,
     save_damping_table,
     sigmoid,
+    site_pair,
     _chol_inverse_factors,
     _epnet_core,
     _global_moments_batch,
@@ -356,7 +356,7 @@ class TestEpnetDetect:
         outs = []
         for llr in (base_llr, bumped):
             prior = llr_to_prior(llr, c)
-            g0, l0 = pair_from_prior(prior, 5e-7)
+            g0, l0 = site_pair(prior.mean, prior.var, 5e-7)
             cfg = EpConfig(layers=1, init_gamma=g0, init_lambda=l0)
             x, v, _ = epnet_detect(model, prior, DampingSchedule(np.zeros(1)), cfg)
             outs.append((x, v))

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from epturbo.channel import SnrSpec
-from epturbo.epdetect import EpConfig, JddReceiver, _epnet_core, sigmoid
+from epturbo.epdetect import (
+    DampingSchedule,
+    EpConfig,
+    JddReceiver,
+    _epnet_core,
+    sigmoid,
+)
 from epturbo.metaopt import (
     Adam,
     ChannelStats,
@@ -506,6 +512,25 @@ class TestOnlineTrain:
         sched, losses = train_schedule(quick_theta, ds, layers=3, epochs=100,
                                        plateau_window=10)
         assert losses.size <= 13
+
+    def test_last_damping_factor_is_frozen(self, quick_theta):
+        # the last layer's damping acts after the emitted cavity: its
+        # starting value changes nothing else, and comes back unchanged
+        ds = generate_training_set(small_stats(n_samples=256),
+                                   np.random.default_rng(21))
+        runs = []
+        for last in (0.1, 0.9):
+            start = DampingSchedule.from_effective([0.7, 0.4, last]).raw
+            sched, losses = train_schedule(quick_theta, ds, layers=3,
+                                           epochs=15, beta_init=start)
+            assert sched.raw[-1] == start[-1]
+            runs.append((sched.raw, losses))
+        (raw_a, curve_a), (raw_b, curve_b) = runs
+        assert curve_a.size > 1
+        assert np.array_equal(curve_a, curve_b)
+        assert np.array_equal(raw_a[:-1], raw_b[:-1])
+        assert not np.array_equal(raw_a[:-1], DampingSchedule.from_effective(
+            [0.7, 0.4]).raw)
 
     def test_jdd_sequential_training_shapes(self, quick_theta):
         from epturbo.turbocode import TurboCodec
