@@ -162,26 +162,44 @@ def sample_correlated(nt, nr, corr_coeff, rng, size=None):
     return ComplexChannel(h[0]) if size is None else h
 
 
+def sample_channels(kind, nt, nr, rho, rng, size):
+    """Stacked (size, nr, nt) channels: 'rayleigh', or 'correlated' by rho."""
+    if kind == "rayleigh":
+        return sample_rayleigh(nt, nr, rng, size=size)
+    if kind == "correlated":
+        return sample_correlated(nt, nr, rho, rng, size=size)
+    raise ValueError(f"unknown channel kind {kind!r}")
+
+
+def _receive(h, x, rng):
+    """y = H x + n over stacked channels (..., nr, nt) and symbols (..., nt)."""
+    noise = rng.normal(scale=np.sqrt(REAL_NOISE_VAR),
+                       size=x.shape[:-1] + (h.shape[-2], 2))
+    return np.einsum("...ij,...j->...i", h, x) + noise[..., 0] + 1j * noise[..., 1]
+
+
+def observe(h, x, rng):
+    """Real model (h_r, y_r) of symbols x (..., nt) sent through stacked,
+    already-scaled channels h (..., nr, nt); the noise is drawn last."""
+    return real_embedding(h, _receive(h, x, rng))
+
+
 def transmit(x, ch, snr, rng):
     """Push unit-energy symbols through the channel: y = sqrt(scale) H x + n."""
     x = np.asarray(x)
     if x.shape[-1] != ch.nt:
         raise ValueError(f"expected {ch.nt} symbols, got {x.shape[-1]}")
-    scale = snr_scale(snr, ch.nt, ch.nr)
-    noise = rng.normal(scale=np.sqrt(REAL_NOISE_VAR), size=x.shape[:-1] + (ch.nr, 2))
-    return np.sqrt(scale) * x @ ch.h.T + noise[..., 0] + 1j * noise[..., 1]
+    return _receive(np.sqrt(snr_scale(snr, ch.nt, ch.nr)) * ch.h, x, rng)
 
 
 def to_real(ch, y, constellation=None):
     """Real-valued embedding of a complex channel and received vector."""
-    h, y = ch.h, np.asarray(y, dtype=complex)
-    h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    y_r = np.concatenate([y.real, y.imag])
+    h_r, y_r = real_embedding(ch.h, np.asarray(y, dtype=complex))
     return RealChannelModel(h_r=h_r, y_r=y_r, constellation=constellation)
 
 
 def real_embedding(h, y):
-    """Batched raw embedding used by the harness: (B,nr,nt), (B,nr) complex."""
+    """Raw embedding of stacked channels (..., nr, nt) and received (..., nr)."""
     h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
     y_r = np.concatenate([y.real, y.imag], axis=-1)
     return h_r, y_r

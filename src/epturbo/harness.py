@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import REAL_NOISE_VAR, SnrSpec, snr_scale, sample_correlated, sample_rayleigh
+from .channel import (REAL_NOISE_VAR, SnrSpec, observe, sample_channels,
+                      sample_rayleigh, snr_scale)
 from .epdetect import (
     DampingSchedule,
     EpConfig,
@@ -27,7 +28,7 @@ from .epdetect import (
     jdd_receive_batch,
 )
 from .modem import Constellation, demap_llr, map_bits
-from .turbocode import ScaledDecoderWeights, TurboCodec
+from .turbocode import TurboCodec
 
 CSV_COLUMNS = ("variant", "snr_db", "bits", "bit_errors", "frames",
                "frame_errors", "seconds")
@@ -139,26 +140,14 @@ def _chunk_rng(master_seed, snr_idx, chunk_idx):
     return np.random.default_rng(seq)
 
 
-def _sample_channels(config, rng, size):
-    if config.channel_kind == "rayleigh":
-        return sample_rayleigh(config.nt, config.nr, rng, size=size)
-    if config.channel_kind == "correlated":
-        return sample_correlated(config.nt, config.nr, config.rho, rng, size=size)
-    raise ValueError(f"unknown channel kind {config.channel_kind!r}")
-
-
 def _uncoded_chunk(config, scale, rng, n_frames):
     """One chunk of uncoded frames: returns tx bits and the real model."""
     c = Constellation(config.mod_order)
-    q2 = c.bits_per_symbol
-    tx = rng.integers(0, 2, (n_frames, config.nt * q2))
+    tx = rng.integers(0, 2, (n_frames, config.nt * c.bits_per_symbol))
     x = map_bits(tx, c)
-    h = np.sqrt(scale) * _sample_channels(config, rng, n_frames)
-    noise = rng.normal(scale=np.sqrt(REAL_NOISE_VAR),
-                       size=(n_frames, config.nr, 2))
-    y = np.einsum("bij,bj->bi", h, x) + noise[..., 0] + 1j * noise[..., 1]
-    h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    y_r = np.concatenate([y.real, y.imag], axis=-1)
+    h = np.sqrt(scale) * sample_channels(config.channel_kind, config.nt,
+                                         config.nr, config.rho, rng, n_frames)
+    h_r, y_r = observe(h, x, rng)
     return tx, h_r, y_r, c
 
 
@@ -218,14 +207,10 @@ class _JddVariant:
             cw = encode(msgs[f], codec)
             tx[f] = np.concatenate([cw, rng.integers(0, 2, filler * q2)])
         syms = map_bits(tx, c).reshape(n_frames, n_blocks, config.nt)
-        h = _sample_channels(config, rng, n_frames * n_blocks)
+        h = sample_channels(config.channel_kind, config.nt, config.nr,
+                            config.rho, rng, n_frames * n_blocks)
         h = np.sqrt(scale) * h.reshape(n_frames, n_blocks, config.nr, config.nt)
-        noise = rng.normal(scale=np.sqrt(REAL_NOISE_VAR),
-                           size=(n_frames, n_blocks, config.nr, 2))
-        y = np.einsum("fbij,fbj->fbi", h, syms) + noise[..., 0] + 1j * noise[..., 1]
-        h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
-        y_r = np.concatenate([y.real, y.imag], axis=-1)
-        res = jdd_receive_batch(h_r, y_r, rx_cfg)
+        res = jdd_receive_batch(*observe(h, syms, rng), rx_cfg)
         out = {}
         for i in range(rx_cfg.n_stages):
             wrong = res.bits_per_stage[i] != msgs
@@ -242,72 +227,46 @@ def _fixed_schedule(config):
     return DampingSchedule.constant(config.fixed_damping, config.ep_layers).raw
 
 
-def _epnet_schedule(config, snr_idx, snr_db, theta):
-    """Damping for the epnet variant at one SNR point."""
+def _receiver(config, snr_idx, snr_db, theta, codec=None):
+    """One SNR point's receiver: EPNet's one stage without a codec, the
+    `jdd_stages`-stage JDD loop with one.
+
+    Fixed damping puts `fixed_damping` at every layer; a table gives the
+    schedules (EPNet reads its first row); trained damping runs
+    `online_train` on data drawn from the channel statistics, starting
+    from the fixed-EP damping for EPNet and from raw 1.0 (effective 0.73)
+    for JDD.
+    """
     from .metaopt import ChannelStats, online_train
 
-    if config.damping_source == "fixed":
-        return _fixed_schedule(config)
+    stages = 1 if codec is None else config.jdd_stages
+    sched = np.tile(_fixed_schedule(config), (stages, 1))
     if config.damping_source == "table":
-        table = np.asarray(config.damping_table)
-        if table.ndim != 2 or table.shape[1] != config.ep_layers:
+        sched = np.asarray(config.damping_table)
+        if codec is None and sched.ndim == 2:
+            sched = sched[:1]
+        if sched.shape != (stages, config.ep_layers):
             raise ValueError("damping table shape does not match receiver")
-        return table[0]
+    elif config.damping_source != "fixed" and codec is not None:
+        sched = np.ones_like(sched)
+    receiver = JddReceiver(
+        codec=codec, constellation=Constellation(config.mod_order),
+        schedules=sched, decoder_iters=config.decoder_iters,
+        config=EpConfig(layers=config.ep_layers, min_var=config.ep_min_var))
+    if config.damping_source in ("fixed", "table"):
+        return receiver
     if theta is None:
         raise ValueError("trained damping source requires optimizer weights")
+    seed = np.random.SeedSequence(config.master_seed, spawn_key=(snr_idx, 1 << 30))
     stats = ChannelStats(
         nt=config.nt, nr=config.nr, mod_order=config.mod_order,
         snr=config.snr_spec(snr_db), kind=config.channel_kind, rho=config.rho,
-        n_samples=config.train_samples,
-        seed=np.random.SeedSequence(
-            config.master_seed, spawn_key=(snr_idx, 1 << 30)
-        ).generate_state(1)[0],
-    )
-    # EPNet is EP with trainable damping: training starts from the fixed-EP
-    # damping and keeps the best iterate it sees on the training set
-    base = JddReceiver(
-        codec=None, constellation=Constellation(config.mod_order),
-        schedules=_fixed_schedule(config)[None, :],
-        config=EpConfig(layers=config.ep_layers, min_var=config.ep_min_var),
-    )
-    trained, _ = online_train(base, stats, theta, epochs=config.train_epochs)
-    return trained.schedules[0]
+        n_samples=config.train_samples, seed=seed.generate_state(1)[0])
+    return online_train(receiver, stats, theta, epochs=config.train_epochs)[0]
 
 
 def _jdd_receiver(config, snr_idx, snr_db, theta):
-    from .metaopt import ChannelStats, online_train
-
-    codec = config.make_codec()
-    if config.decoder == "scaled-max-log" and codec.weights is None:
-        codec.weights = ScaledDecoderWeights.initial(config.decoder_iters)
-    c = Constellation(config.mod_order)
-    cfg = EpConfig(layers=config.ep_layers, min_var=config.ep_min_var)
-    if config.damping_source == "fixed":
-        sched = np.tile(_fixed_schedule(config), (config.jdd_stages, 1))
-    elif config.damping_source == "table":
-        sched = np.asarray(config.damping_table)
-        if sched.shape != (config.jdd_stages, config.ep_layers):
-            raise ValueError("damping table shape does not match receiver")
-    else:
-        if theta is None:
-            raise ValueError("trained damping source requires optimizer weights")
-        stats = ChannelStats(
-            nt=config.nt, nr=config.nr, mod_order=config.mod_order,
-            snr=config.snr_spec(snr_db), kind=config.channel_kind,
-            rho=config.rho, n_samples=config.train_samples,
-            seed=np.random.SeedSequence(
-                config.master_seed, spawn_key=(snr_idx, 1 << 30)
-            ).generate_state(1)[0],
-        )
-        base = JddReceiver(codec=codec, constellation=c,
-                           schedules=np.ones((config.jdd_stages,
-                                              config.ep_layers)),
-                           config=cfg, decoder_iters=config.decoder_iters)
-        trained, _ = online_train(base, stats, theta,
-                                  epochs=config.train_epochs)
-        sched = trained.schedules
-    return JddReceiver(codec=codec, constellation=c, schedules=sched,
-                       config=cfg, decoder_iters=config.decoder_iters)
+    return _receiver(config, snr_idx, snr_db, theta, config.make_codec())
 
 
 def _build_variant(config, name, snr_idx, snr_db, theta):
@@ -316,8 +275,8 @@ def _build_variant(config, name, snr_idx, snr_db, theta):
     if name == "ep":
         return _UncodedDetector("ep", _fixed_schedule(config))
     if name == "epnet":
-        return _UncodedDetector("epnet",
-                                _epnet_schedule(config, snr_idx, snr_db, theta))
+        return _UncodedDetector(
+            "epnet", _receiver(config, snr_idx, snr_db, theta).schedules[0])
     if name == "ml":
         return _UncodedDetector("ml")
     if name == "jdd":
@@ -459,7 +418,7 @@ def compare_oracle(oracle_config):
     rng = np.random.default_rng(cfg.seed)
     c = Constellation(cfg.mod_order)
     q2 = c.bits_per_symbol
-    scale = 10.0 ** (cfg.es_n0_db / 10.0) * cfg.nr / cfg.nt
+    scale = snr_scale(cfg.es_n0_db, cfg.nt, cfg.nr)
     raw = (cfg.schedule_raw if cfg.schedule_raw is not None
            else DampingSchedule.constant(0.1, cfg.ep_layers).raw)
     agree = total = ep_err = ml_err = 0
@@ -469,12 +428,8 @@ def compare_oracle(oracle_config):
         n = min(chunk, left)
         left -= n
         tx = rng.integers(0, 2, (n, cfg.nt * q2))
-        x = map_bits(tx, c)
         h = np.sqrt(scale) * sample_rayleigh(cfg.nt, cfg.nr, rng, size=n)
-        noise = rng.normal(scale=np.sqrt(REAL_NOISE_VAR), size=(n, cfg.nr, 2))
-        y = np.einsum("bij,bj->bi", h, x) + noise[..., 0] + 1j * noise[..., 1]
-        h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
-        y_r = np.concatenate([y.real, y.imag], axis=-1)
+        h_r, y_r = observe(h, map_bits(tx, c), rng)
         probs = np.full((n, 2 * cfg.nt, c.n_amplitudes), 1.0 / c.n_amplitudes)
         x_ab, v_ab, _ = _epnet_core(h_r, y_r, REAL_NOISE_VAR, probs, c, raw,
                                     EpConfig(layers=raw.size,

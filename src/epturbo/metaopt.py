@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import REAL_NOISE_VAR, SnrSpec, sample_correlated, sample_rayleigh, snr_scale
+from .channel import REAL_NOISE_VAR, SnrSpec, observe, sample_channels, snr_scale
 from .epdetect import (
     DampingSchedule,
     EpConfig,
@@ -434,19 +434,13 @@ def generate_training_set(stats, rng=None):
     rng = rng or np.random.default_rng(stats.seed)
     c = stats.constellation()
     b, nt, nr = stats.n_samples, stats.nt, stats.nr
-    if stats.kind == "rayleigh":
-        h = sample_rayleigh(nt, nr, rng, size=b)
-    elif stats.kind == "correlated":
-        h = sample_correlated(nt, nr, stats.rho, rng, size=b)
-    else:
-        raise ValueError(f"unknown channel kind {stats.kind!r}")
-    h = np.sqrt(snr_scale(stats.snr, nt, nr)) * h
+    # H before the bits, unlike the sweeps: this order fixes every
+    # trained schedule
+    h = np.sqrt(snr_scale(stats.snr, nt, nr)) * sample_channels(
+        stats.kind, nt, nr, stats.rho, rng, b)
     bits = rng.integers(0, 2, (b, nt * c.bits_per_symbol))
     x = map_bits(bits, c)
-    noise = rng.normal(scale=np.sqrt(REAL_NOISE_VAR), size=(b, nr, 2))
-    y = np.einsum("bij,bj->bi", h, x) + noise[..., 0] + 1j * noise[..., 1]
-    h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    y_r = np.concatenate([y.real, y.imag], axis=-1)
+    h_r, y_r = observe(h, x, rng)
     x_r = np.concatenate([x.real, x.imag], axis=-1)
     n, m = 2 * nt, c.n_amplitudes
     return EpTrainingSet(
@@ -575,15 +569,9 @@ def _codeword_training_set(receiver, stats, rng):
     for f in range(b):
         tx[f, codec.n_coded :] = rng.integers(0, 2, filler * q2)
     syms = map_bits(tx, c).reshape(b, n_blocks, nt)
-    if stats.kind == "rayleigh":
-        h = sample_rayleigh(nt, nr, rng, size=b * n_blocks)
-    else:
-        h = sample_correlated(nt, nr, stats.rho, rng, size=b * n_blocks)
+    h = sample_channels(stats.kind, nt, nr, stats.rho, rng, b * n_blocks)
     h = np.sqrt(snr_scale(stats.snr, nt, nr)) * h.reshape(b, n_blocks, nr, nt)
-    noise = rng.normal(scale=np.sqrt(REAL_NOISE_VAR), size=(b, n_blocks, nr, 2))
-    y = np.einsum("fbij,fbj->fbi", h, syms) + noise[..., 0] + 1j * noise[..., 1]
-    h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    y_r = np.concatenate([y.real, y.imag], axis=-1)
+    h_r, y_r = observe(h, syms, rng)
     x_r = np.concatenate([syms.real, syms.imag], axis=-1)
     return h_r, y_r, x_r, msgs
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from suite_support import record_criterion
 from epturbo.channel import SnrSpec
 from epturbo.epdetect import (
     DampingSchedule,

@@ -139,6 +139,15 @@ class TestOnlineTrainCommand:
         assert rc == 2
         assert "empty" in capsys.readouterr().err
 
+    def test_unknown_channel_kind_exits_2(self, tmp_path, theta_file, capsys):
+        doc = self.train_config(channel={"kind": "Rayleigh"})
+        doc["system"].update(message_len=16, decoder_iters=2, jdd_stages=2)
+        cfg = write_json(tmp_path / "train.json", doc)
+        rc = main(["online-train", "--theta", theta_file, "--config", cfg,
+                   "--out", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert "unknown channel kind" in capsys.readouterr().err
+
     def test_loaded_table_changes_sweep_output(self, tmp_path, theta_file):
         # train a table, then run paired sweeps with fixed vs table damping
         cfg = write_json(tmp_path / "train.json", self.train_config())

@@ -503,6 +503,16 @@ class TestOnlineTrain:
         with pytest.raises(ValueError):
             online_train(rx, small_stats(n_samples=0), quick_theta)
 
+    def test_jdd_unknown_channel_kind_rejected(self, quick_theta):
+        from epturbo.turbocode import TurboCodec
+
+        codec = TurboCodec(k=16, decoder="max-log", n_iter=2)
+        rx = self.make_receiver(stages=2, layers=2, codec=codec)
+        stats = small_stats(nt=4, nr=4, n_samples=32, kind="Rayleigh",
+                            snr=SnrSpec("eb-coded", 4.0, 4, code_rate=codec.rate))
+        with pytest.raises(ValueError, match="unknown channel kind"):
+            online_train(rx, stats, quick_theta, epochs=1)
+
     def test_plateau_early_stop(self, quick_theta):
         # a dead objective (H = 0 gives constant loss) stops after the window
         stats = small_stats(n_samples=64)
@@ -551,7 +561,7 @@ class TestThetaCache:
         return LstmOptimizerParams.init(np.random.default_rng(5))
 
     def test_matching_fingerprint_loads_without_training(self, tmp_path):
-        from conftest import load_or_train_theta
+        from suite_support import load_or_train_theta
 
         path = tmp_path / "theta.json"
         first = load_or_train_theta(path, "fp-a", self.fresh)
@@ -566,7 +576,7 @@ class TestThetaCache:
     def test_fingerprint_mismatch_retrains_and_rewrites(self, tmp_path):
         import json
 
-        from conftest import load_or_train_theta
+        from suite_support import load_or_train_theta
 
         path = tmp_path / "theta.json"
         load_or_train_theta(path, "fp-old", self.fresh)
@@ -577,7 +587,7 @@ class TestThetaCache:
 
     def test_fingerprint_tracks_architecture(self, monkeypatch):
         import epturbo.metaopt as mo
-        from conftest import theta_fingerprint
+        from suite_support import theta_fingerprint
 
         base = theta_fingerprint()
         monkeypatch.setitem(mo.ARCH, "input", 1)
@@ -589,7 +599,7 @@ class TestThetaCache:
         import json
         import os
 
-        from conftest import theta_fingerprint
+        from suite_support import theta_fingerprint
 
         path = os.path.join(os.path.dirname(__file__), ".theta_cache.json")
         with open(path) as fh:
