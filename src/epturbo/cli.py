@@ -136,6 +136,9 @@ def cmd_online_train(args):
     channel = doc.get("channel", {})
     training = doc.get("training", {})
     try:
+        # --seed overrides the document's seed for the code's interleaver
+        # and the dataset alike, as `sweep --seed` does
+        seed = int(doc.get("seed", 1) if args.seed is None else args.seed)
         mod_order = int(system["mod_order"])
         message_len = system.get("message_len")
         codec = None
@@ -147,7 +150,7 @@ def cmd_online_train(args):
             codec = TurboCodec(k=int(message_len),
                                decoder=system.get("decoder", "max-log"),
                                n_iter=int(system.get("decoder_iters", 5)),
-                               seed=int(doc.get("seed", 1)))
+                               seed=seed)
             code_rate = codec.rate
         elif stages != 1:
             raise ConfigError("multi-stage training requires message_len")
@@ -158,7 +161,7 @@ def cmd_online_train(args):
             snr=spec, kind=channel.get("kind", "rayleigh"),
             rho=float(channel.get("rho", 0.0)),
             n_samples=int(training.get("samples", 5000)),
-            seed=int(doc.get("seed", 1) if args.seed is None else args.seed),
+            seed=seed,
         )
         if stats.n_samples < 1:
             raise ConfigError("channel statistics dataset is empty")

@@ -118,64 +118,120 @@ class EpTrace:
     lam: np.ndarray
 
 
-def _chol_inverse_factors(a, jitter_scale=1e-12, out=None):
-    """Batched inverse of the lower Cholesky factor of `a`.
+def _batch_last(out, shape):
+    """Batch-last (n, n, B) memory for a batch-major (B, n, n) result.
 
-    One jittered retry on failure, after which FactorizationError
-    propagates the ill conditioning to the caller.  The factor L is
-    inverted by forward substitution, one row per step with the batch
-    vectorised: X[i, i] = 1 / L[i, i] and X[i, :i] = -(L[i, :i] @
-    X[:i, :i]) X[i, i].  That is n - 1 batched row-times-matrix products,
-    where a general solve would LU-factorise an already triangular
-    matrix, and the upper triangle of X is exactly zero.
+    It is `out`'s own memory when `out` is stored batch-last, as the
+    scratch array of an `EpWorkspace.run` is, and a new array otherwise.
+    """
+    if out is not None:
+        work = np.moveaxis(out, 0, -1)
+        if work.flags.c_contiguous:
+            return work
+    return np.empty(shape[1:] + shape[:1])
+
+
+def _cholesky_in_place(f):
+    """Lower Cholesky factor of the batch-last (n, n, B) `f`, in place.
+
+    Column j is a[j:, j] - L[j:, :j] L[j, :j], one einsum over the batch,
+    divided by the square root of its pivot.  Only the lower triangle is
+    read and written, so the strict upper triangle keeps a.  Returns
+    False, leaving the columns before the failing one overwritten, when
+    a pivot of any matrix in the batch is not > 0 (NaN included).
+    """
+    for j in range(f.shape[0]):
+        col = f[j:, j]
+        if j:
+            col -= np.einsum("ikb,kb->ib", f[j:, :j], f[j, :j])
+        pivot = col[0]
+        if not np.all(pivot > 0):
+            return False
+        np.sqrt(pivot, out=pivot)
+        col[1:] /= pivot
+    return True
+
+
+def _chol_inverse_factors(a, jitter_scale=1e-12, out=None):
+    """Batched inverse of the lower Cholesky factor of the symmetric `a`.
+
+    `a` is (B, n, n) and so is the result, but the work runs on the
+    batch-last (n, n, B) layout, where every step is one vectorised
+    einsum over the batch.  The factor L is computed column by column in
+    place (`_cholesky_in_place`).  When a pivot fails, the batch gets one
+    jittered retry: a is rebuilt from its untouched upper triangle and
+    its saved diagonal, plus jitter_scale * trace(a) / n on every
+    diagonal, after which FactorizationError propagates the ill
+    conditioning to the caller.  L is then overwritten row by row with
+    its inverse X by forward substitution: X[i, i] = 1 / L[i, i] and
+    X[i, :i] = -(L[i, :i] @ X[:i, :i]) X[i, i], which reads only rows of
+    L not yet overwritten.  The upper triangle of X is exactly zero.
 
     `out`, when given, receives X and is returned.  It may be `a`
-    itself, which is read only before X is written.
+    itself.  When `out` is stored batch-last the whole computation runs
+    in its memory and allocates nothing of the batch's n x n size;
+    otherwise it runs in a new batch-last array copied into `out`, so
+    the result does not depend on the layout of `out`.
     """
     n = a.shape[-1]
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        jit = jitter_scale * np.trace(a, axis1=-2, axis2=-1) / n
-        a = a.copy()
-        idx = np.arange(n)
-        a[..., idx, idx] += jit[..., None]
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                "H^T H + Lambda is not positive definite"
-            ) from exc
-    inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
-    linv = np.empty_like(chol) if out is None else out
-    linv.fill(0.0)
-    linv[..., 0, 0] = inv_diag[..., 0]
-    for i in range(1, n):
-        row = chol[..., i : i + 1, :i] @ linv[..., :i, :i]
-        linv[..., i : i + 1, :i] = -row * inv_diag[..., i, None, None]
-        linv[..., i, i] = inv_diag[..., i]
-    return linv
+    f = _batch_last(out, a.shape)
+    src = np.moveaxis(a, 0, -1)
+    if not np.may_share_memory(f, src):
+        np.copyto(f, src)
+    idx = np.arange(n)
+    diag = f[idx, idx]
+    if not _cholesky_in_place(f):
+        jit = jitter_scale * diag.sum(axis=0) / n
+        lower = np.tril_indices(n, -1)
+        f[lower] = f[lower[::-1]]
+        f[idx, idx] = diag + jit
+        if not _cholesky_in_place(f):
+            raise FactorizationError("H^T H + Lambda is not positive definite")
+    for i in range(n):
+        inv_diag = 1.0 / f[i, i]
+        if i:
+            row = np.einsum("jb,jkb->kb", f[i, :i], f[:i, :i])
+            np.multiply(row, -inv_diag, out=f[i, :i])
+        f[i, i] = inv_diag
+        f[i, i + 1:] = 0.0
+    linv = np.moveaxis(f, -1, 0)
+    if out is None:
+        return linv
+    if not np.may_share_memory(f, out):
+        np.copyto(out, linv)
+    return out
 
 
 def _global_moments_batch(hth, hty, gamma, lam, out=None):
     """Posterior moments of the Gaussian approximation, SPD solve only.
 
+    Batch-major in and out: hth (B, n, n), hty, gamma and lam (B, n).
     Returns (mu, sigma_diag, linv); the full covariance is recovered from
-    linv when a caller needs it.  `out`, an optional array shaped like
-    hth and reused across calls, holds H^T H / sigma^2 + Lambda and then
-    the inverse factor, which is returned as linv.
+    linv when a caller needs it.  The arithmetic runs batch-last, on
+    (n, n, B) and (n, B) arrays: the factorisation, sigma_diag as a sum
+    of squares over the rows of the inverse factor, and mu by two
+    products with it; mu and sigma_diag are (B, n) views of (n, B)
+    arrays.  `out`, an optional array shaped like hth and reused across
+    calls, holds H^T H / sigma^2 + Lambda and then the inverse factor,
+    which is returned as linv; stored batch-last, it spares every
+    allocation of the batch's n x n size.
     """
-    a = np.empty_like(hth) if out is None else out
-    np.copyto(a, hth)
-    n = a.shape[-1]
+    batch, n = hty.shape
+    a = _batch_last(out, hth.shape)
+    np.copyto(a, np.moveaxis(hth, 0, -1))
     idx = np.arange(n)
-    a[..., idx, idx] += lam
-    linv = _chol_inverse_factors(a, out=a)
-    sigma_diag = np.einsum("...ki,...ki->...i", linv, linv)
-    rhs = hty + gamma
-    t = np.einsum("...kj,...j->...k", linv, rhs)
-    mu = np.einsum("...ki,...k->...i", linv, t)
-    return mu, sigma_diag, linv
+    a[idx, idx] += lam.T
+    a_bm = np.moveaxis(a, -1, 0)
+    _chol_inverse_factors(a_bm, out=a_bm)
+    sigma_diag = np.einsum("kib,kib->ib", a, a).T
+    rhs = np.add(hty.T, gamma.T, out=np.empty((n, batch)))
+    t = np.einsum("kjb,jb->kb", a, rhs)
+    mu = np.einsum("kib,kb->ib", a, t).T
+    if out is None:
+        return mu, sigma_diag, a_bm
+    if not np.may_share_memory(a, out):
+        np.copyto(out, a_bm)
+    return mu, sigma_diag, out
 
 
 def ep_global_moments(gamma, lam, model):
@@ -237,6 +293,18 @@ def discrete_moments(cav_mean, cav_var, prior, constellation, min_var,
     reductions' temporaries did.  `log_prior`, from
     `tilt_log_prior(prior)`, lets a caller that runs many layers on one
     batch compute it once; the results are the same without it.
+
+    The max-shifted log weights are floored at
+    min(-700, log(min_var) - 50) before `exp`.  Priors that decoder
+    feedback has driven to 0 put log weights in [-745, -708], where
+    `exp` returns denormals at about 100 times the cost of a normal
+    result; at the detector's min_var = 5e-7 the floor is -700, whose
+    `exp` is a normal 1e-304.  A floored weight is at most
+    e^-50 min_var against the best amplitude's 1, so it moves the mean
+    and the variance by less than 1e-20 min_var: below what double
+    precision resolves next to the variance floor.  A flat -700 would
+    not be: at min_var = 1e-300 its weights would move the variance at
+    the floor.
     """
     amps = constellation.amplitudes
     m = amps.size
@@ -256,6 +324,7 @@ def discrete_moments(cav_mean, cav_var, prior, constellation, min_var,
     np.subtract(log_prior, logw, out=logw)
     top = fold_columns(np.maximum, logw, out=np.empty(shape))
     np.subtract(logw, top, out=logw)
+    np.maximum(logw, min(-700.0, np.log(min_var) - 50.0), out=logw)
     np.exp(logw, out=logw)
     total = sum_columns(logw, out=top)
     np.divide(logw, total, out=np.moveaxis(w, -1, 0))
@@ -293,22 +362,33 @@ class EpWorkspace:
     Precomputes H^T H / sigma^2 and H^T y / sigma^2 once; `run` executes
     the layer loop, optionally warm-starting from a cached intermediate
     state so finite-difference training only recomputes the layers a
-    perturbed damping factor can actually influence.  Every layer of
-    every run factorises in the same batch-sized scratch array, so the
-    layer loop allocates no array of that size besides the Cholesky
-    factor itself.
+    perturbed damping factor can actually influence.  A JDD receiver
+    keeps one workspace for all its stages on a chunk: each stage sets
+    `probs` and passes its initial site pair to `run`.
+
+    The terms are stored batch-last: H^T H / sigma^2 is contiguous
+    (n, n, B) and H^T y / sigma^2 is (n, B).  The attributes `hth` and
+    `hty` are batch-major (B, n, n) and (B, n) views of that memory,
+    the shapes `_global_moments_batch` takes.  Their einsums add the
+    same products in the same order as batch-major ones, so the values
+    are the same bit for bit.
     """
 
     def __init__(self, h_r, y_r, noise_var, prior_probs, constellation,
                  config):
-        self.hth = np.einsum("bri,brj->bij", h_r, h_r)
-        self.hth /= noise_var
-        self.hty = np.einsum("bri,br->bi", h_r, y_r) / noise_var
+        batch, _, n = h_r.shape
+        h_t = np.ascontiguousarray(h_r.transpose(2, 1, 0))
+        hth = np.einsum("irb,jrb->ijb", h_t, h_t, out=np.empty((n, n, batch)))
+        hth /= noise_var
+        hty = np.einsum("irb,rb->ib", h_t, np.ascontiguousarray(y_r.T),
+                        out=np.empty((n, batch)))
+        hty /= noise_var
+        self.hth = np.moveaxis(hth, -1, 0)
+        self.hty = hty.T
         self.probs = prior_probs
         self.constellation = constellation
         self.config = config
-        self.batch, self.n_dims = self.hty.shape
-        self.scratch = np.empty_like(self.hth)
+        self.batch, self.n_dims = batch, n
 
     def initial_pair(self):
         cfg = self.config
@@ -330,10 +410,14 @@ class EpWorkspace:
         training loss).  With record=False the last layer also stops at
         its cavity: its tilted moments and damped site update reach no
         output.  The log prior of the tilted moments is computed once
-        per run, at the first layer that needs it.  It is the run's one
-        extra array, so without records each layer's intermediates are
-        released before the next layer factorises, and the run's peak
-        memory stays below that of keeping them.
+        per run, at the first layer that needs it.  Every layer of the
+        run factorises in one batch-last (n, n, B) scratch array, so the
+        layer loop allocates no other array of that size.  The scratch
+        lives only for the run: a JDD receiver keeps its workspace
+        through the decoder, and only H^T H of that size with it.
+        Without records each layer's intermediates are released before
+        the next layer factorises, and the run's peak memory stays below
+        that of keeping them.
         """
         betas_raw = np.asarray(betas_raw, dtype=float)
         gamma, lam = self.initial_pair() if pair is None else pair
@@ -342,9 +426,11 @@ class EpWorkspace:
         out = []
         x_ab = v_ab = None
         log_prior = None
+        n = self.n_dims
+        scratch = np.moveaxis(np.empty((n, n, self.batch)), -1, 0)
         for l in range(start_layer, last + 1):
             mu, sigma_diag, _ = _global_moments_batch(
-                self.hth, self.hty, gamma, lam, out=self.scratch)
+                self.hth, self.hty, gamma, lam, out=scratch)
             x_ab, v_ab = cavity(mu, sigma_diag, gamma, lam, eps)
             if l == last and not record:
                 break
@@ -614,24 +700,24 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
     flat_h = h_r.reshape(-1, *h_r.shape[2:])
     flat_y = y_r.reshape(-1, y_r.shape[-1])
 
-    prior_probs = np.full((bsz * n_blocks, n, m), 1.0 / m)
     config = receiver.config
-    init_gamma = np.full((bsz * n_blocks, n), float(config.init_gamma))
-    init_lambda = np.full((bsz * n_blocks, n), float(config.init_lambda))
+    ws = EpWorkspace(flat_h, flat_y, noise_var,
+                     np.full((bsz * n_blocks, n, m), 1.0 / m), c,
+                     EpConfig(layers=receiver.layers, min_var=config.min_var,
+                              init_gamma=float(config.init_gamma),
+                              init_lambda=float(config.init_lambda)))
 
     bits_stages, ext_stages = [], []
+    pair = None
     for stage in range(receiver.n_stages):
-        cfg = EpConfig(
-            layers=receiver.layers,
-            min_var=config.min_var,
-            init_gamma=init_gamma,
-            init_lambda=init_lambda,
-        )
-        x_ab, v_ab, _ = _epnet_core(flat_h, flat_y, noise_var, prior_probs, c,
-                                    receiver.schedules[stage], cfg,
-                                    record=False)
-        llr = demap_llr(x_ab, v_ab, prior_probs, c)  # (B*P, nt, Q)
+        x_ab, v_ab, _ = ws.run(receiver.schedules[stage], pair=pair,
+                               record=False)
+        llr = demap_llr(x_ab, v_ab, ws.probs, c)  # (B*P, nt, Q)
         llr_frame = llr.reshape(bsz, -1)[:, : codec.n_coded]
+        # the decoder runs at the chunk's peak memory; through it the EP
+        # layer holds only H^T H and H^T y
+        del x_ab, v_ab, pair
+        ws.probs = None
         bits, _, ext = _decode_batch(
             llr_frame, codec, receiver.decoder_iters, want_feedback=True
         )
@@ -639,8 +725,7 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
         ext_stages.append(ext)
 
         if stage + 1 < receiver.n_stages:
-            prior_probs, init_gamma, init_lambda = stage_feedback(
-                ext, receiver, nt)
+            ws.probs, *pair = stage_feedback(ext, receiver, nt)
 
     return JddResult(
         bits_per_stage=np.stack(bits_stages),

@@ -34,6 +34,7 @@ CSV_COLUMNS = ("variant", "snr_db", "bits", "bit_errors", "frames",
                "frame_errors", "seconds")
 
 KNOWN_VARIANTS = ("mmse", "ep", "epnet", "ml", "jdd")
+DAMPING_SOURCES = ("fixed", "table", "trained")
 
 
 @dataclass
@@ -80,6 +81,8 @@ class ExperimentConfig:
             raise ValueError(f"unsupported modulation order {self.mod_order}")
         if "jdd" in self.variants and self.message_len is None:
             raise ValueError("jdd variant requires message_len")
+        if self.damping_source not in DAMPING_SOURCES:
+            raise ValueError(f"unknown damping source {self.damping_source!r}")
         if self.damping_source == "table" and self.damping_table is None:
             raise ValueError("table damping source requires a loaded table")
         if self.message_len is not None:
@@ -151,6 +154,24 @@ def _uncoded_chunk(config, scale, rng, n_frames):
     return tx, h_r, y_r, c
 
 
+def _hard_bits(h_r, y_r, constellation, raw=None, min_var=5e-7):
+    """Hard bit decisions (frames, bits) on uncoded frames: exhaustive ML
+    when `raw` is None, else EP with that raw damping schedule under
+    uniform priors, deciding on the sign of the demapped LLRs."""
+    if raw is None:
+        xhat = _ml_detect_batch(h_r, y_r, constellation)
+        return bits_from_real_symbols(xhat, constellation).reshape(
+            h_r.shape[0], -1)
+    n_frames, _, n = h_r.shape
+    m = constellation.n_amplitudes
+    probs = np.full((n_frames, n, m), 1.0 / m)
+    x_ab, v_ab, _ = _epnet_core(h_r, y_r, REAL_NOISE_VAR, probs, constellation,
+                                raw, EpConfig(layers=raw.size, min_var=min_var),
+                                record=False)
+    llr = demap_llr(x_ab, v_ab, probs, constellation)
+    return (llr.reshape(n_frames, -1) < 0).astype(np.int64)
+
+
 class _UncodedDetector:
     """mmse / ep / epnet / ml over independent uncoded frames."""
 
@@ -160,21 +181,13 @@ class _UncodedDetector:
 
     def run_chunk(self, config, scale, rng, n_frames):
         tx, h_r, y_r, c = _uncoded_chunk(config, scale, rng, n_frames)
-        n, m = 2 * config.nt, c.n_amplitudes
         if self.kind == "ml":
-            xhat = _ml_detect_batch(h_r, y_r, c)
-            rx = bits_from_real_symbols(xhat, c).reshape(n_frames, -1)
+            raw = None
+        elif self.kind == "mmse":
+            raw = np.zeros(1)
         else:
-            if self.kind == "mmse":
-                raw = np.zeros(1)
-            else:
-                raw = self.schedule_raw
-            probs = np.full((n_frames, n, m), 1.0 / m)
-            cfg = EpConfig(layers=raw.size, min_var=config.ep_min_var)
-            x_ab, v_ab, _ = _epnet_core(h_r, y_r, REAL_NOISE_VAR, probs, c,
-                                        raw, cfg, record=False)
-            llr = demap_llr(x_ab, v_ab, probs, c)
-            rx = (llr.reshape(n_frames, -1) < 0).astype(np.int64)
+            raw = self.schedule_raw
+        rx = _hard_bits(h_r, y_r, c, raw, config.ep_min_var)
         bit_errors = rx != tx
         return {
             self.kind: (
@@ -430,15 +443,8 @@ def compare_oracle(oracle_config):
         tx = rng.integers(0, 2, (n, cfg.nt * q2))
         h = np.sqrt(scale) * sample_rayleigh(cfg.nt, cfg.nr, rng, size=n)
         h_r, y_r = observe(h, map_bits(tx, c), rng)
-        probs = np.full((n, 2 * cfg.nt, c.n_amplitudes), 1.0 / c.n_amplitudes)
-        x_ab, v_ab, _ = _epnet_core(h_r, y_r, REAL_NOISE_VAR, probs, c, raw,
-                                    EpConfig(layers=raw.size,
-                                             min_var=cfg.min_var),
-                                    record=False)
-        llr = demap_llr(x_ab, v_ab, probs, c)
-        ep_bits = (llr.reshape(n, -1) < 0).astype(np.int64)
-        ml_bits = bits_from_real_symbols(_ml_detect_batch(h_r, y_r, c),
-                                         c).reshape(n, -1)
+        ep_bits = _hard_bits(h_r, y_r, c, raw, cfg.min_var)
+        ml_bits = _hard_bits(h_r, y_r, c)
         agree += int((ep_bits == ml_bits).sum())
         total += ep_bits.size
         ep_err += int((ep_bits != tx).sum())

@@ -77,6 +77,13 @@ class TestSweepCommand:
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert main(["sweep", cfg, "--out", str(tmp_path / "out")]) == 2
 
+    def test_damping_source_typo_exits_2(self, tmp_path, capsys):
+        doc = sweep_config(damping={"source": "Fixed", "value": 0.1})
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown damping source 'Fixed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_trained_source_requires_theta(self, tmp_path):
         doc = sweep_config(damping={"source": "trained"})
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -147,6 +154,29 @@ class TestOnlineTrainCommand:
                    "--out", str(tmp_path / "t.json")])
         assert rc == 2
         assert "unknown channel kind" in capsys.readouterr().err
+
+    def test_seed_flag_seeds_interleaver_and_data(self, tmp_path, theta_file):
+        # K = 50 has no published QPP coefficients, so the interleaver is a
+        # permutation drawn from the seed: --seed 5 over a document seed of
+        # 1 must train on the code and the data of a document seed of 5
+        from epturbo.turbocode import TurboCodec
+
+        assert not np.array_equal(TurboCodec(k=50, seed=1).interleaver,
+                                  TurboCodec(k=50, seed=5).interleaver)
+
+        def table(doc_seed, flag):
+            doc = self.train_config(seed=doc_seed)
+            doc["system"].update(message_len=50, decoder_iters=2,
+                                 jdd_stages=2)
+            doc["training"] = {"samples": 32, "epochs": 3}
+            cfg = write_json(tmp_path / f"train{doc_seed}.json", doc)
+            out = tmp_path / f"table{doc_seed}.json"
+            argv = ["online-train", "--theta", theta_file, "--config", cfg,
+                    "--out", str(out)]
+            assert main(argv + flag) == 0
+            return load_damping_table(out)
+
+        assert np.array_equal(table(1, ["--seed", "5"]), table(5, []))
 
     def test_loaded_table_changes_sweep_output(self, tmp_path, theta_file):
         # train a table, then run paired sweeps with fixed vs table damping

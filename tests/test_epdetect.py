@@ -182,6 +182,15 @@ class TestFactorization:
             _chol_inverse_factors(a)
 
 
+def test_nan_pivot_raises_factorization_error():
+    # a pivot that is not > 0 fails the factorisation, NaN included; the
+    # jittered retry inherits the NaN through the trace and fails too
+    a = np.stack([np.eye(3), np.eye(3)])
+    a[1, 1, 1] = np.nan
+    with pytest.raises(FactorizationError):
+        _chol_inverse_factors(a)
+
+
 class TestCavity:
     def test_vanishing_site_recovers_global(self):
         rng = np.random.default_rng(2)

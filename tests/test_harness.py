@@ -37,6 +37,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(variants=("bogus",)).validate()
 
+    @pytest.mark.parametrize("source", ["Fixed", "learned", ""])
+    def test_unknown_damping_source(self, source):
+        with pytest.raises(ValueError, match="damping source"):
+            small_config(damping_source=source).validate()
+
     def test_jdd_needs_codec(self):
         with pytest.raises(ValueError):
             small_config(variants=("jdd",)).validate()
@@ -106,6 +111,23 @@ class TestSweep:
         for a, b in zip(rec1, rec2):
             assert (a.variant, a.bits, a.bit_errors) == (b.variant, b.bits,
                                                          b.bit_errors)
+
+    def test_jdd_worker_count_does_not_change_rows(self):
+        # the batch-last EP layer and the per-chunk workspace under the
+        # process pool: every row but the timing column is the same
+        def rows(workers):
+            cfg = small_config(
+                nt=2, nr=2, mod_order=16, message_len=40, variants=("jdd",),
+                decoder="scaled-max-log", decoder_iters=2, jdd_stages=2,
+                ep_layers=3, snr_mode="eb-coded", snr_grid_db=(4.0, 6.0),
+                max_bits=20_480, chunk_frames=128, workers=workers)
+            return [(r.variant, r.snr_db, r.bits, r.bit_errors, r.frames,
+                     r.frame_errors) for r in run_sweep(cfg)]
+
+        serial = rows(1)
+        assert [r[0] for r in serial] == ["jdd-s1", "jdd-s2"] * 2
+        assert all(r[3] > 0 for r in serial)
+        assert rows(2) == serial
 
     def test_jdd_variant_emits_stage_records(self):
         cfg = small_config(
