@@ -41,12 +41,16 @@ class FactorizationError(RuntimeError):
 
 
 def sigmoid(x):
+    """Logistic function without overflow, in one branch-free pass.
+
+    With e = exp(-|x|) it is 1/(1+e) for x >= 0 and e/(1+e) otherwise.
+    -|x| is taken as min(x, -x), which returns a NaN input itself, sign
+    bit included.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

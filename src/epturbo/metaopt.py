@@ -24,7 +24,7 @@ from .epdetect import (
     DampingSchedule,
     EpConfig,
     JddReceiver,
-    _epnet_core,
+    _epnet_core,  # unused here; bench/tests/test_tracer.py traces this site
     sigmoid,
     stage_feedback,
 )
@@ -118,35 +118,41 @@ def zero_state(n_coords):
 
 
 def _cell_forward(x, h, c, w, u, b):
-    z = x @ w.T + h @ u.T + b
-    i = sigmoid(z[:, :HIDDEN])
-    f = sigmoid(z[:, HIDDEN : 2 * HIDDEN])
-    o = sigmoid(z[:, 2 * HIDDEN : 3 * HIDDEN])
+    z = x @ w.T
+    z += h @ u.T
+    z += b
+    s = sigmoid(z[:, : 3 * HIDDEN])  # input, forget and output gates
     g = np.tanh(z[:, 3 * HIDDEN :])
-    c_new = f * c + i * g
+    c_new = s[:, HIDDEN : 2 * HIDDEN] * c + s[:, :HIDDEN] * g
     tc = np.tanh(c_new)
-    h_new = o * tc
-    return h_new, c_new, (x, h, c, i, f, o, g, tc)
+    h_new = s[:, 2 * HIDDEN :] * tc
+    return h_new, c_new, (x, h, c, s, g, tc)
 
 
-def _cell_backward(dh, dc_in, cache, w, u, grads, prefix):
-    x, h, c, i, f, o, g, tc = cache
-    dc = dc_in + dh * o * (1.0 - tc**2)
-    di = dc * g
-    df = dc * c
-    do = dh * tc
-    dg = dc * i
-    dz = np.concatenate(
-        [di * i * (1 - i), df * f * (1 - f), do * o * (1 - o), dg * (1 - g**2)],
-        axis=1,
-    )
-    grads[f"{prefix}.W"] += dz.T @ x
-    grads[f"{prefix}.U"] += dz.T @ h
-    grads[f"{prefix}.b"] += dz.sum(axis=0)
-    dx = dz @ w
-    dh_prev = dz @ u
-    dc_prev = dc * f
-    return dx, dh_prev, dc_prev
+def _cell_backward(dh, dc_in, cache, u, dz):
+    """Backpropagate one cell step, writing dL/dz into `dz` (B, 4H).
+
+    Returns (dh_prev, dc_prev).  The caller forms the weight gradients
+    dz^T x, dz^T h and the bias gradient, the row sum of dz, and the
+    input gradient dz @ W.
+    """
+    _, _, c, s, g, tc = cache
+    dc = dc_in + dh * s[:, 2 * HIDDEN :] * (1.0 - tc**2)
+    np.multiply(dc, g, out=dz[:, :HIDDEN])
+    np.multiply(dc, c, out=dz[:, HIDDEN : 2 * HIDDEN])
+    np.multiply(dh, tc, out=dz[:, 2 * HIDDEN : 3 * HIDDEN])
+    gates = dz[:, : 3 * HIDDEN]
+    gates *= s
+    gates *= 1 - s
+    cand = np.multiply(dc, s[:, :HIDDEN], out=dz[:, 3 * HIDDEN :])
+    cand *= 1 - g**2
+    return dz @ u, dc * s[:, HIDDEN : 2 * HIDDEN]
+
+
+# exp(-p), the smallest |g| of the log channel, and exp(p), the gain of
+# the linear channel below it
+_LOG_FLOOR = np.exp(-PREPROCESS_P)
+_LINEAR_GAIN = np.exp(PREPROCESS_P)
 
 
 def preprocess_gradient(grad):
@@ -160,16 +166,16 @@ def preprocess_gradient(grad):
     """
     grad = np.asarray(grad, dtype=float)
     mag = np.abs(grad)
-    big = mag >= np.exp(-PREPROCESS_P)
+    big = mag >= _LOG_FLOOR
     log_part = np.where(big, np.log(np.where(big, mag, 1.0)) / PREPROCESS_P,
                         -1.0)
-    sign_part = np.where(big, np.sign(grad), np.exp(PREPROCESS_P) * grad)
+    sign_part = np.where(big, np.sign(grad), _LINEAR_GAIN * grad)
     return np.stack([log_part, sign_part], axis=-1)
 
 
 def _lstm_forward(theta, grad, state):
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient passed to the optimizer")
     w = theta.weights
     x = preprocess_gradient(np.clip(grad, -GRAD_CLIP, GRAD_CLIP))
@@ -242,6 +248,16 @@ class Adam:
             )
 
 
+def _sum_backward_order(terms):
+    """terms[T-1] + ... + terms[0], added one at a time onto zeros.
+
+    These are the sums, in order and rounding, of a backward pass that
+    adds each step's term to its accumulator as it visits the step.
+    """
+    zero = np.zeros((1,) + terms.shape[1:])
+    return np.cumsum(np.concatenate([zero, terms[::-1]]), axis=0)[-1]
+
+
 def _unrolled_loss_and_grads(theta, tasks, horizon, beta0, frozen_inputs=None):
     """Roll the optimizer over all task coordinates and backpropagate.
 
@@ -251,18 +267,26 @@ def _unrolled_loss_and_grads(theta, tasks, horizon, beta0, frozen_inputs=None):
     recorded input sequence instead of recomputing task gradients, which
     is exactly the dropped-gradient semantics; the recorded inputs come
     back as the third return value.
+
+    All tasks advance together: one stacked (T, d, d) product gives every
+    task's gradient, as `QuadraticTask.grad` computes it, operand layout
+    included.  The backward pass keeps only the recurrence in its loop;
+    the weight gradients are stacked products over all steps, summed in
+    the order a per-step accumulation would add them.
     """
     w = theta.weights
     n_tasks, dim = beta0.shape
     b = n_tasks * dim
+    a = np.stack([t.w for t in tasks])
+    a2t = (2.0 * a).transpose(0, 2, 1)  # laid out as `2.0 * self.w.T`
+    q = np.stack([t.q for t in tasks])[..., None]
     beta = beta0.copy()
     state = zero_state(b)
     caches = []
     inputs = []
     for t_step in range(horizon):
         if frozen_inputs is None:
-            grad = np.stack([t.grad(beta[j]) for j, t in enumerate(tasks)])
-            grad = grad.reshape(b)
+            grad = (a2t @ (a @ beta[..., None] - q)).reshape(b)
         else:
             grad = frozen_inputs[t_step]
         inputs.append(grad)
@@ -270,25 +294,38 @@ def _unrolled_loss_and_grads(theta, tasks, horizon, beta0, frozen_inputs=None):
         caches.append(cache)
         beta = beta + step.reshape(n_tasks, dim)
 
-    losses = np.array([t.value(beta[j]) for j, t in enumerate(tasks)])
-    loss = losses.sum() / b
+    r = a @ beta[..., None] - q
+    loss = (r.transpose(0, 2, 1) @ r).sum() / b
 
-    dbeta = np.stack([t.grad(beta[j]) for j, t in enumerate(tasks)]) / b
-    dstep = dbeta.reshape(b)  # same for every t: beta_T = beta_0 + sum steps
-    grads = {k: np.zeros_like(v) for k, v in w.items()}
-    dh1 = np.zeros((b, HIDDEN))
-    dc1 = np.zeros((b, HIDDEN))
-    dh2 = np.zeros((b, HIDDEN))
-    dc2 = np.zeros((b, HIDDEN))
-    for cache1, cache2, h2 in reversed(caches):
-        grads["head.w"] += OUTPUT_SCALE * (dstep @ h2)
-        grads["head.b"][0] += OUTPUT_SCALE * dstep.sum()
-        dh2_t = dh2 + OUTPUT_SCALE * dstep[:, None] * w["head.w"][None, :]
-        dx2, dh2, dc2 = _cell_backward(dh2_t, dc2, cache2, w["l2.W"], w["l2.U"],
-                                       grads, "l2")
-        dh1_t = dh1 + dx2
-        _, dh1, dc1 = _cell_backward(dh1_t, dc1, cache1, w["l1.W"], w["l1.U"],
-                                     grads, "l1")
+    # the same for every t: beta_T = beta_0 + sum steps
+    dstep = (a2t @ r).reshape(b) / b
+    dh_head = OUTPUT_SCALE * dstep[:, None] * w["head.w"][None, :]
+    dz1 = np.empty((horizon, b, 4 * HIDDEN))
+    dz2 = np.empty((horizon, b, 4 * HIDDEN))
+    dh1 = dc1 = dh2 = dc2 = np.zeros((b, HIDDEN))
+    for t_step in reversed(range(horizon)):
+        cache1, cache2, _ = caches[t_step]
+        dh2, dc2 = _cell_backward(dh2 + dh_head, dc2, cache2, w["l2.U"],
+                                  dz2[t_step])
+        dh1, dc1 = _cell_backward(dh1 + dz2[t_step] @ w["l2.W"], dc1, cache1,
+                                  w["l1.U"], dz1[t_step])
+
+    def per_step(values, width):
+        return np.array(values).reshape(horizon, b, width)
+
+    grads = {}
+    for prefix, layer, dz, width in (("l1", 0, dz1, ARCH["input"]),
+                                     ("l2", 1, dz2, HIDDEN)):
+        x = per_step([c[layer][0] for c in caches], width)
+        h = per_step([c[layer][1] for c in caches], HIDDEN)
+        dz_t = dz.transpose(0, 2, 1)
+        grads[f"{prefix}.W"] = _sum_backward_order(dz_t @ x)
+        grads[f"{prefix}.U"] = _sum_backward_order(dz_t @ h)
+        grads[f"{prefix}.b"] = _sum_backward_order(dz.sum(axis=1))
+    h2 = per_step([c[2] for c in caches], HIDDEN)
+    grads["head.w"] = _sum_backward_order(OUTPUT_SCALE * (dstep @ h2))
+    grads["head.b"] = _sum_backward_order(
+        np.full((horizon, 1), OUTPUT_SCALE * dstep.sum()))
     return loss, grads, inputs
 
 
@@ -320,8 +357,13 @@ def meta_train_recipe(total_epochs=14000, rng=None, dim=5):
 
     Splits the epoch budget 4:2:1 over learning rates 3e-3, 1e-3, 3e-4;
     the long first phase finds the descent behavior and the decayed tail
-    stabilizes it.  Returns (theta, concatenated loss curve).
+    stabilizes it.  Each phase runs at least one epoch, so a budget below
+    7 runs 3.  A budget below 1 is an error.  Returns (theta,
+    concatenated loss curve).
     """
+    if total_epochs < 1:
+        raise ValueError(
+            f"meta-training needs at least 1 epoch, got {total_epochs}")
     rng = rng or np.random.default_rng()
     split = np.array([4, 2, 1]) / 7.0
     epochs = np.maximum((split * total_epochs).astype(int), 1)
@@ -454,7 +496,14 @@ def generate_training_set(stats, rng=None):
     )
 
 
-def _workspace_for(dataset, layers, min_var):
+def _workspace_for(dataset, layers, min_var, workspace=None):
+    """EP workspace for `dataset`'s priors and initial site pair.
+
+    `workspace`, when given, was built on the same channels and
+    observations (an earlier JDD stage of one training set); it is
+    pointed at this dataset's priors and initial pair and returned, so
+    H^T H is not computed again.
+    """
     from .epdetect import EpWorkspace
 
     cfg = EpConfig(
@@ -463,8 +512,11 @@ def _workspace_for(dataset, layers, min_var):
         init_gamma=dataset.init_gamma,
         init_lambda=dataset.init_lambda,
     )
-    return EpWorkspace(dataset.h_r, dataset.y_r, dataset.noise_var,
-                       dataset.prior_probs, dataset.constellation, cfg)
+    if workspace is None:
+        return EpWorkspace(dataset.h_r, dataset.y_r, dataset.noise_var,
+                           dataset.prior_probs, dataset.constellation, cfg)
+    workspace.probs, workspace.config = dataset.prior_probs, cfg
+    return workspace
 
 
 def epnet_loss_and_grad(beta_raw, dataset, min_var=5e-7, fd_step=1e-3,
@@ -514,7 +566,8 @@ def epnet_loss_and_grad(beta_raw, dataset, min_var=5e-7, fd_step=1e-3,
 
 
 def train_schedule(theta, dataset, layers, epochs=100, beta_init=1.0,
-                   plateau_tol=1e-4, plateau_window=10, min_var=5e-7):
+                   plateau_tol=1e-4, plateau_window=10, min_var=5e-7,
+                   workspace=None):
     """Train one stage's damping schedule with the LSTM optimizer.
 
     `beta_init` is the raw starting schedule, a scalar or one value per
@@ -525,13 +578,14 @@ def train_schedule(theta, dataset, layers, epochs=100, beta_init=1.0,
     improvement over the plateau window falls below the tolerance.
     Returns (schedule, loss curve), where the schedule is the best
     iterate seen, so training never ends worse than its starting point
-    on the training set.
+    on the training set.  `workspace` is an EP workspace already set up
+    for `dataset` (see `_workspace_for`); by default one is built.
     """
     beta = np.broadcast_to(np.asarray(beta_init, dtype=float),
                            (layers,)).copy()
     state = zero_state(layers)
     losses = []
-    ws = _workspace_for(dataset, layers, min_var)
+    ws = workspace or _workspace_for(dataset, layers, min_var)
     loss, grad = epnet_loss_and_grad(beta, dataset, min_var, workspace=ws)
     losses.append(loss)
     best_beta, best_loss = beta.copy(), loss
@@ -625,29 +679,26 @@ def online_train(receiver, channel_stats, theta, epochs=100, rng=None,
 
     schedules = []
     curves = []
+    ws = None  # one workspace, hence one H^T H, for every stage
     for stage in range(receiver.n_stages):
         dataset = EpTrainingSet(
             h_r=flat(h_r), y_r=flat(y_r), x_r=flat(x_r),
             prior_probs=prior_probs, init_gamma=init_gamma,
             init_lambda=init_lambda, constellation=c,
         )
+        ws = _workspace_for(dataset, layers, cfg.min_var, ws)
         sched, curve = train_schedule(
             theta, dataset, layers, epochs,
             beta_init=receiver.schedules[stage],
             plateau_tol=plateau_tol, plateau_window=plateau_window,
-            min_var=cfg.min_var,
+            min_var=cfg.min_var, workspace=ws,
         )
         schedules.append(sched.raw)
         curves.append(curve)
 
         if stage + 1 < receiver.n_stages:
             # frozen forward pass of this stage to build the next stage inputs
-            stage_cfg = EpConfig(layers=layers, min_var=cfg.min_var,
-                                 init_gamma=init_gamma, init_lambda=init_lambda)
-            x_ab, v_ab, _ = _epnet_core(
-                dataset.h_r, dataset.y_r, dataset.noise_var,
-                prior_probs, c, sched.raw, stage_cfg, record=False,
-            )
+            x_ab, v_ab, _ = ws.run(sched.raw, record=False)
             llr = demap_llr(x_ab, v_ab, prior_probs, c)
             llr_frame = llr.reshape(b, -1)[:, : receiver.codec.n_coded]
             _, _, ext = _decode_batch(

@@ -102,6 +102,15 @@ class TestMetaTrainCommand:
         assert curve[0] == "epoch,loss"
         assert len(curve) >= 70
 
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_empty_budget_exits_2_without_writing(self, tmp_path, capsys,
+                                                  epochs):
+        out = tmp_path / "theta.json"
+        assert main(["meta-train", "--out", str(out), "--epochs", epochs]) == 2
+        assert "at least 1 epoch" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "theta.json.curve.csv").exists()
+
     def test_fixed_seed_reproduces_theta_exactly(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["meta-train", "--out", str(a), "--seed", "9",

@@ -184,6 +184,10 @@ class TestSigmoid:
         assert type(out) is np.ndarray and out.shape == ref.shape == ()
         assert_same_bits(out, ref)
 
+    def test_zero_d_random(self):
+        for value in 30.0 * np.random.default_rng(1).standard_normal(200):
+            assert_same_bits(sigmoid(value), reference_sigmoid(value))
+
     def test_two_d_and_strided(self):
         rng = np.random.default_rng(0)
         z = np.concatenate([40.0 * rng.standard_normal((100, 20)),
@@ -198,7 +202,8 @@ class TestSigmoid:
 class TestUnrolledStep:
     @pytest.mark.parametrize("scale", THETA_SCALES)
     @pytest.mark.parametrize("n_tasks,dim,horizon",
-                             [(20, 5, 20), (1, 1, 1), (3, 4, 7), (7, 2, 3)])
+                             [(20, 5, 20), (1, 1, 1), (3, 4, 7), (7, 2, 3),
+                              (2, 3, 0)])
     def test_recomputed_and_frozen_inputs(self, scale, n_tasks, dim, horizon):
         seed = int(scale * 100) + dim
         theta, tasks, beta0 = _problem(seed, scale, n_tasks, dim)

@@ -23,6 +23,7 @@ from epturbo.metaopt import (
     generate_training_set,
     lstm_step,
     meta_train,
+    meta_train_recipe,
     online_train,
     preprocess_gradient,
     quad_grad,
@@ -252,6 +253,17 @@ class TestMetaTrain:
         assert np.array_equal(c1, c2)
         for k in t1.weights:
             assert np.array_equal(t1.weights[k], t2.weights[k])
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_recipe_rejects_empty_budget(self, budget):
+        with pytest.raises(ValueError, match="at least 1 epoch"):
+            meta_train_recipe(total_epochs=budget,
+                              rng=np.random.default_rng(0))
+
+    def test_recipe_runs_each_phase_at_least_once(self):
+        _, curve = meta_train_recipe(total_epochs=1,
+                                     rng=np.random.default_rng(0))
+        assert curve.size == 3
 
     def test_divergence_guard(self):
         # a pathological warm start drives the quadratic loss to overflow
@@ -541,6 +553,58 @@ class TestOnlineTrain:
         assert np.array_equal(raw_a[:-1], raw_b[:-1])
         assert not np.array_equal(raw_a[:-1], DampingSchedule.from_effective(
             [0.7, 0.4]).raw)
+
+    def test_jdd_stages_share_one_workspace(self, quick_theta, monkeypatch):
+        # every stage trains and runs its frozen pass on one H^T H of the
+        # training set; schedules and loss curves equal those of a
+        # workspace per stage and a separate frozen `_epnet_core` pass
+        from epturbo.epdetect import EpWorkspace, stage_feedback
+        from epturbo.metaopt import _codeword_training_set
+        from epturbo.modem import demap_llr
+        from epturbo.turbocode import TurboCodec, _decode_batch
+
+        codec = TurboCodec(k=16, decoder="max-log", n_iter=2)
+        rx = self.make_receiver(stages=3, layers=3, codec=codec)
+        rx.schedules = np.array([[0.5, -0.7, 0.0], [-2.0, 1.5, 0.0],
+                                 [0.0, 0.0, 0.0]])
+        stats = small_stats(nt=4, nr=4, n_samples=48,
+                            snr=SnrSpec("eb-coded", 4.0, 4, code_rate=codec.rate))
+        built = []
+        init = EpWorkspace.__init__
+
+        def counting_init(ws, *args, **kwargs):
+            built.append(ws)
+            init(ws, *args, **kwargs)
+
+        monkeypatch.setattr(EpWorkspace, "__init__", counting_init)
+        trained, curves = online_train(rx, stats, quick_theta, epochs=4)
+        monkeypatch.undo()
+        assert len(built) == 1
+
+        c = rx.constellation
+        rng = np.random.default_rng(stats.seed)
+        h_r, y_r, x_r, _ = _codeword_training_set(rx, stats, rng)
+        b, n_blocks = h_r.shape[:2]
+        flat = lambda a: a.reshape(-1, *a.shape[2:])
+        n = 2 * stats.nt
+        probs = np.full((b * n_blocks, n, c.n_amplitudes), 1.0 / c.n_amplitudes)
+        gamma = np.zeros((b * n_blocks, n))
+        lam = np.full((b * n_blocks, n), rx.config.init_lambda)
+        for stage in range(rx.n_stages):
+            ds = EpTrainingSet(h_r=flat(h_r), y_r=flat(y_r), x_r=flat(x_r),
+                               prior_probs=probs, init_gamma=gamma,
+                               init_lambda=lam, constellation=c)
+            sched, curve = train_schedule(quick_theta, ds, 3, 4,
+                                          beta_init=rx.schedules[stage])
+            assert np.array_equal(trained.schedules[stage], sched.raw)
+            assert np.array_equal(curves[stage], curve)
+            cfg = EpConfig(layers=3, init_gamma=gamma, init_lambda=lam)
+            x_ab, v_ab, _ = _epnet_core(ds.h_r, ds.y_r, ds.noise_var, probs, c,
+                                        sched.raw, cfg, record=False)
+            llr = demap_llr(x_ab, v_ab, probs, c).reshape(b, -1)
+            _, _, ext = _decode_batch(llr[:, : codec.n_coded], codec,
+                                      rx.decoder_iters, want_feedback=True)
+            probs, gamma, lam = stage_feedback(ext, rx, stats.nt)
 
     def test_jdd_sequential_training_shapes(self, quick_theta):
         from epturbo.turbocode import TurboCodec
