@@ -224,7 +224,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="output weights JSON")
     p.add_argument("--seed", type=int, default=2)
     p.add_argument("--epochs", type=int, default=14000,
-                   help="total staged epoch budget")
+                   help="epochs run over the three staged phases (4:2:1, "
+                        "remainder to the first); 1 or 2 run 3")
     p.add_argument("--curve", default=None, help="training-curve CSV path")
     p.set_defaults(func=cmd_meta_train)
 

@@ -357,16 +357,18 @@ def meta_train_recipe(total_epochs=14000, rng=None, dim=5):
 
     Splits the epoch budget 4:2:1 over learning rates 3e-3, 1e-3, 3e-4;
     the long first phase finds the descent behavior and the decayed tail
-    stabilizes it.  Each phase runs at least one epoch, so a budget below
-    7 runs 3.  A budget below 1 is an error.  Returns (theta,
-    concatenated loss curve).
+    stabilizes it.  Each phase gets the floor of its share, at least one
+    epoch, and the first phase also gets what the floors leave over, so a
+    budget of 3 or more runs exactly that many epochs (10 runs 7 + 2 + 1)
+    and a budget of 1 or 2 runs 3.  A budget below 1 is an error.
+    Returns (theta, concatenated loss curve), one curve entry per epoch.
     """
     if total_epochs < 1:
         raise ValueError(
             f"meta-training needs at least 1 epoch, got {total_epochs}")
     rng = rng or np.random.default_rng()
-    split = np.array([4, 2, 1]) / 7.0
-    epochs = np.maximum((split * total_epochs).astype(int), 1)
+    epochs = np.maximum(np.array([4, 2, 1]) * total_epochs // 7, 1)
+    epochs[0] += max(total_epochs - epochs.sum(), 0)
     theta = None
     curves = []
     for n, lr in zip(epochs, (3e-3, 1e-3, 3e-4)):

@@ -148,7 +148,14 @@ class TurboCodec:
         return self.k / self.n_coded
 
     def interleave(self, x):
-        return np.asarray(x)[..., self.interleaver]
+        """x[..., interleaver], permuting the last axis."""
+        return np.take(x, self.interleaver, axis=-1)
+
+    @cached_property
+    def _inverse_interleaver(self):
+        inverse = np.empty_like(self.interleaver)
+        inverse[self.interleaver] = np.arange(self.k)
+        return inverse
 
     @cached_property
     def generator(self):
@@ -170,10 +177,8 @@ class TurboCodec:
         return np.concatenate([unit, punct, tail1, tail2], axis=1).astype(float)
 
     def deinterleave(self, x):
-        x = np.asarray(x)
-        out = np.empty_like(x)
-        out[..., self.interleaver] = x
-        return out
+        """The inverse of `interleave`: out[..., interleaver] = x."""
+        return np.take(x, self._inverse_interleaver, axis=-1)
 
 
 def encode(msg, codec):
@@ -217,12 +222,15 @@ def _split_codeword_llrs(llrs, codec):
 
 
 # Steps per block of the posterior evaluation in `_bcjr_batch`.  Each
-# block's transition metrics are (block, 8, B) floats, 256 kB at B = 512.
-# At B = 512, K = 64 one call with bit posteriors took 2.7-3.3 ms with 8,
-# 3.9-4.3 ms with 16, and 5.8-7.2 ms with one block over all steps, whose
-# temporaries are 2.2 MB each; one 4-iteration decode with feedback took
-# 24-29, 26-29 and 33-39 ms.
-POSTERIOR_BLOCK = 8
+# block's transition metrics are (block, 16, B) floats, 384 kB at B = 512,
+# and one gathered operand of the same size is live beside them.  The
+# decoder runs at the JDD chunk's peak memory, so the block is sized to
+# add nothing to it: the peak traced allocation of one 4-iteration
+# decode of 512 K = 64 frames is 11.01 MiB with blocks of 6 and 11.29
+# with 8, against 11.06 for the former (8, 8, B) pairs.  One call with
+# bit posteriors took the same time with blocks of 4, 6 and 8, and 1.5-2
+# times as long with 16 or 32 (30 alternating repeats, 2-vCPU VM).
+POSTERIOR_BLOCK = 6
 
 
 def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=False):
@@ -234,12 +242,16 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
 
     Layout: time-major and state-major, with the batch innermost.  A step
     has only four distinct branch metrics, kept as gamma (K+3, 4, B) and
-    indexed by the code 2u + p of input bit u and parity bit p; the alpha
-    and beta recursions run on contiguous (8, B) rows of one
-    (2, K+4, 8, B) array.  The posteriors are evaluated over blocks of
-    POSTERIOR_BLOCK steps, each transition metric summed as
-    (alpha + gamma) + beta and folded over the states in ascending order,
-    so every output is bit-identical to a per-step evaluation in
+    indexed by the code 2u + p of input bit u and parity bit p.  The alpha
+    and beta recursions run as one sweep: row j of one (K+4, 16, B) array
+    holds alpha_j in its first 8 states and beta_{K+3-j} in its last 8,
+    and each step gathers its 32 candidate states and branch metrics with
+    two `take`s by flat index, folds them with one max* and normalises
+    both halves at once.  The posteriors are evaluated over blocks of
+    POSTERIOR_BLOCK steps: one (block, 16, B) array of the transitions
+    with u = 0 and u = 1, each summed as (alpha + gamma) + beta, then
+    folded over the states in ascending order, one reduction for both
+    bit values.  Every output is bit-identical to a per-step evaluation in
     (B, 8, 2) layout.
     """
     if algo == "log":
@@ -268,51 +280,64 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     np.subtract(half_sys, half_par, out=gamma[:, 1])
     np.add(-half_sys, half_par, out=gamma[:, 2])
     np.subtract(-half_sys, half_par, out=gamma[:, 3])
+    gamma_rows = gamma.reshape(4 * n, b)
 
-    prev0, prev1 = tr.prev_state[:, 0], tr.prev_state[:, 1]
-    pcode0 = code[prev0, tr.prev_input[:, 0]]
-    pcode1 = code[prev1, tr.prev_input[:, 1]]
-    # One allocation for both, 4.5 MB at B = 512, K = 64.  Freeing it
-    # raises glibc's dynamic mmap threshold, and the heap trim threshold
-    # with it, to that size, so the EP arrays of later work in the same
-    # process stay on a heap that is not trimmed after every layer.  With
-    # two 2.2 MB arrays, the EP and online-training figures of the
+    # Step j takes alpha_j -> alpha_{j+1} over the transitions entering each
+    # state and beta_{n-j} -> beta_{n-j-1} over those leaving it: 32
+    # candidates, the first 16 folded with the last 16 by one max*.
+    prev, nxt = tr.prev_state, tr.next_state
+    pcode = code[prev, tr.prev_input]
+    state_idx = np.concatenate(
+        [prev[:, 0], 8 + nxt[:, 0], prev[:, 1], 8 + nxt[:, 1]])
+    fwd, bwd = 4 * np.arange(n)[:, None], 4 * np.arange(n - 1, -1, -1)[:, None]
+    gamma_idx = np.concatenate(
+        [fwd + pcode[:, 0], bwd + code[:, 0], fwd + pcode[:, 1], bwd + code[:, 1]],
+        axis=1)  # (n, 32)
+    # One allocation for both recursions, 4.5 MB at B = 512, K = 64.
+    # Freeing it raises glibc's dynamic mmap threshold, and the heap trim
+    # threshold with it, to that size, so the EP arrays of later work in the
+    # same process stay on a heap that is not trimmed after every layer.
+    # With two 2.2 MB arrays, the EP and online-training figures of the
     # benchmark's sweep-jdd runs were 2-5% slower than with the
     # (B, K+3, 8, 2) decoder (1-2 wins in 10 pairs); with one, they are not.
-    alpha, beta = np.full((2, n + 1, 8, b), NEG_INF)
-    alpha[0, 0] = 0.0
-    for i in range(n):
-        a_i, g = alpha[i], gamma[i]
-        a = star(a_i[prev0] + g[pcode0], a_i[prev1] + g[pcode1])
-        np.subtract(a, a.max(axis=0), out=alpha[i + 1])
+    sweep = np.full((n + 1, 16, b), NEG_INF)
+    sweep[0, 0] = sweep[0, 8] = 0.0
+    for j in range(n):
+        cand = sweep[j].take(state_idx, axis=0)
+        cand += gamma_rows.take(gamma_idx[j], axis=0)
+        m = star(cand[:16], cand[16:]).reshape(2, 8, b)
+        np.subtract(m, m.max(axis=1, keepdims=True),
+                    out=sweep[j + 1].reshape(2, 8, b))
 
-    next0, next1 = tr.next_state[:, 0], tr.next_state[:, 1]
-    code0, code1 = code[:, 0], code[:, 1]
-    beta[n, 0] = 0.0
-    for i in range(n - 1, -1, -1):
-        b_i, g = beta[i + 1], gamma[i]
-        bt = star(b_i[next0] + g[code0], b_i[next1] + g[code1])
-        np.subtract(bt, bt.max(axis=0), out=beta[i])
-
-    # the message posteriors are the first K systematic posteriors
+    # The transition (s, u) of step i sums alpha_i[s] + gamma_i[code[s, u]]
+    # and beta_{i+1}[next[s, u]], rows 16 i + s, 4 i + code[s, u] and
+    # 16 (n-1-i) + 8 + next[s, u]; rows u = 0 first, then u = 1.
+    sweep_rows = sweep.reshape(16 * (n + 1), b)
+    row_s, row_u = np.tile(np.arange(8), 2), np.repeat(np.arange(2), 8)
     steps = n if want_bit_posteriors else k
+    at = np.arange(steps)[:, None]
+    alpha_idx = 16 * at + row_s
+    gam_idx = 4 * at + code[row_s, row_u]
+    beta_idx = 16 * (n - 1 - at) + 8 + nxt[row_s, row_u]
+    # the same rows reordered as the transitions with parity 0, then 1,
+    # each set in ascending state order; u flips the parity of a transition
+    by_parity = (8 * (tr.parity[:, 0] ^ np.arange(2)[:, None])
+                 + np.arange(8)).ravel()
+    # the message posteriors are the first K systematic posteriors
     sys_post = np.empty((steps, b))
     par_post = np.empty((n, b)) if want_bit_posteriors else None
-    parity0 = (tr.parity[:, 0] == 0)[:, None]  # u = 0 carries parity 0
     for lo in range(0, steps, POSTERIOR_BLOCK):
         hi = min(lo + POSTERIOR_BLOCK, steps)
-        a_blk, g_blk, b_blk = alpha[lo:hi], gamma[lo:hi], beta[lo + 1 : hi + 1]
-        # (steps, 8 states, B) metrics of the transitions with u = 0 and 1
-        full0 = a_blk + g_blk[:, code0]
-        full0 += b_blk[:, next0]
-        full1 = a_blk + g_blk[:, code1]
-        full1 += b_blk[:, next1]
-        sys_post[lo:hi] = star_reduce(full0, axis=1) - star_reduce(full1, axis=1)
+        full = sweep_rows.take(alpha_idx[lo:hi].ravel(), axis=0)
+        full += gamma_rows.take(gam_idx[lo:hi].ravel(), axis=0)
+        full += sweep_rows.take(beta_idx[lo:hi].ravel(), axis=0)
+        full = full.reshape(hi - lo, 16, b)
+        r = star_reduce(full.reshape(hi - lo, 2, 8, b), axis=2)
+        np.subtract(r[:, 0], r[:, 1], out=sys_post[lo:hi])
         if par_post is not None:
-            par_post[lo:hi] = (
-                star_reduce(np.where(parity0, full0, full1), axis=1)
-                - star_reduce(np.where(parity0, full1, full0), axis=1)
-            )
+            r = star_reduce(full.take(by_parity, axis=1).reshape(hi - lo, 2, 8, b),
+                            axis=2)
+            np.subtract(r[:, 0], r[:, 1], out=par_post[lo:hi])
     sys_post = sys_post.T
     posterior = sys_post[:, :k]
     extrinsic = posterior - apriori - sys_llr[:, :k]

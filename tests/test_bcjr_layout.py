@@ -18,6 +18,7 @@ from epturbo.turbocode import (
     TurboCodec,
     _bcjr_batch,
     _decode_batch,
+    decode_posteriors,
 )
 
 
@@ -111,6 +112,33 @@ def test_bcjr_matches_reference_exactly(algo, want, k, b):
         assert np.array_equal(g, r)
 
 
+def _edge_inputs(kind, rng, b, k):
+    sys_llr, par_llr, apriori = _inputs(rng, b, k)
+    if kind == "saturated":
+        # the JDD feedback clip: most entries sit at exactly +-50
+        return tuple(np.clip(x * 40, -50.0, 50.0)
+                     for x in (sys_llr, par_llr, apriori))
+    if kind == "large":
+        # metrics far beyond one normalisation step's range
+        return tuple(x * 1e3 for x in (sys_llr, par_llr, apriori))
+    # every branch metric ties
+    return tuple(np.zeros_like(x) for x in (sys_llr, par_llr, apriori))
+
+
+@pytest.mark.parametrize("algo", ["log", "max-log"])
+@pytest.mark.parametrize("want", [False, True])
+@pytest.mark.parametrize("kind", ["saturated", "large", "zero"])
+def test_bcjr_matches_reference_on_edge_inputs(algo, want, kind):
+    rng = np.random.default_rng(17)
+    args = _edge_inputs(kind, rng, 64, 64) + (Trellis(), algo)
+    got = _bcjr_batch(*args, want_bit_posteriors=want)
+    ref = reference_bcjr_batch(*args, want_bit_posteriors=want)
+    assert len(got) == len(ref) == (4 if want else 2)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.array_equal(g, r)
+
+
 def test_feedback_decode_matches_reference_exactly(monkeypatch):
     from epturbo import turbocode
 
@@ -123,3 +151,22 @@ def test_feedback_decode_matches_reference_exactly(monkeypatch):
     ref = _decode_batch(llrs, codec, want_feedback=True)
     for g, r in zip(got, ref):
         assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("decoder", ["log", "max-log", "scaled-max-log"])
+def test_decoders_match_reference_exactly(monkeypatch, decoder):
+    # the feedback decode of the other decoder kinds, and for every kind
+    # the message posteriors that `decode_posteriors` returns
+    from epturbo import turbocode
+
+    codec = TurboCodec(k=64, decoder=decoder, n_iter=4)
+    rng = np.random.default_rng(4)
+    llrs = rng.normal(size=(96, codec.n_coded)) * 4
+    got = _decode_batch(llrs, codec, want_feedback=True)
+    got_post = decode_posteriors(llrs, codec)
+    monkeypatch.setattr(turbocode, "_bcjr_batch", reference_bcjr_batch)
+    ref = _decode_batch(llrs, codec, want_feedback=True)
+    assert len(got) == len(ref) == 3
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+    assert np.array_equal(got_post, decode_posteriors(llrs, codec))

@@ -265,6 +265,14 @@ class TestMetaTrain:
                                      rng=np.random.default_rng(0))
         assert curve.size == 3
 
+    @pytest.mark.parametrize("budget", [10, 13])
+    def test_recipe_runs_the_budget_it_is_given(self, budget):
+        # the floors of the 4:2:1 split leave 2 epochs over at both budgets;
+        # the first phase runs them
+        _, curve = meta_train_recipe(total_epochs=budget,
+                                     rng=np.random.default_rng(0))
+        assert curve.size == budget
+
     def test_divergence_guard(self):
         # a pathological warm start drives the quadratic loss to overflow
         theta = LstmOptimizerParams.init(np.random.default_rng(0))

@@ -208,6 +208,8 @@ class TestBcjr:
         assert np.array_equal(post, post_fb)
         assert np.array_equal(ext, ext_fb)
         assert np.array_equal(sys_post[:, :40], post)
+        # the message posteriors are computed once, as part of sys_post
+        assert np.shares_memory(post_fb, sys_post)
 
 
 class TestInterleaver:
@@ -226,6 +228,16 @@ class TestInterleaver:
         codec = random_codec(40)
         x = np.arange(40.0)
         assert np.array_equal(codec.deinterleave(codec.interleave(x)), x)
+
+    @pytest.mark.parametrize("k", [64, 50])  # QPP; seeded random permutation
+    def test_batched_roundtrip_matches_index_and_scatter(self, k):
+        codec = TurboCodec(k=k, seed=7)
+        x = np.random.default_rng(k).normal(size=(9, k))
+        assert np.array_equal(codec.deinterleave(codec.interleave(x)), x)
+        assert np.array_equal(codec.interleave(x), x[..., codec.interleaver])
+        scattered = np.empty_like(x)
+        scattered[..., codec.interleaver] = x
+        assert np.array_equal(codec.deinterleave(x), scattered)
 
 
 class TestTurboDecode:
