@@ -24,6 +24,7 @@ from .metaopt import (
 from .channel import SnrSpec
 from .epdetect import EpConfig, JddReceiver
 from .modem import Constellation
+from .turbocode import TurboCodec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -145,8 +146,6 @@ def cmd_online_train(args):
         code_rate = 1.0
         stages = int(system.get("jdd_stages", 1))
         if message_len is not None:
-            from .turbocode import TurboCodec
-
             codec = TurboCodec(k=int(message_len),
                                decoder=system.get("decoder", "max-log"),
                                n_iter=int(system.get("decoder_iters", 5)),

@@ -21,16 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import REAL_NOISE_VAR
+from .channel import REAL_NOISE_VAR, observe, sample_channels
 from .modem import (
     LLR_CLAMP,
     SymbolPrior,
     demap_llr,
     fold_columns,
+    map_bits,
     prior_probs_from_llr,
     sum_columns,
 )
-from .turbocode import _decode_batch
+from .turbocode import _decode_batch, encode
 
 # initial site precision 1/(2 Es) for the unit-energy constellation
 DEFAULT_INIT_LAMBDA = 0.5
@@ -662,6 +663,29 @@ def frame_geometry(codec, constellation, nt):
     return n_sym, n_blocks, n_blocks * nt - n_sym
 
 
+def codeword_frames(codec, constellation, kind, nt, nr, rho, scale, n_frames,
+                    rng):
+    """Draw, encode and transmit `n_frames` codeword frames.
+
+    The generator draws the messages, then each frame's filler bits (the
+    frame is encoded one message at a time and its filler appended),
+    then one channel per block of `nt` symbols, scaled by `scale`, then
+    the noise.  Returns (msgs (B, K), syms (B, P, nt), h_r (B, P, 2nr,
+    2nt), y_r (B, P, 2nr)) for the frames' P blocks.
+    """
+    _, n_blocks, filler = frame_geometry(codec, constellation, nt)
+    q2 = constellation.bits_per_symbol
+    msgs = rng.integers(0, 2, (n_frames, codec.k))
+    tx = np.empty((n_frames, n_blocks * nt * q2), dtype=np.int64)
+    for f in range(n_frames):
+        tx[f, : codec.n_coded] = encode(msgs[f], codec)
+        tx[f, codec.n_coded :] = rng.integers(0, 2, filler * q2)
+    syms = map_bits(tx, constellation).reshape(n_frames, n_blocks, nt)
+    h = sample_channels(kind, nt, nr, rho, rng, n_frames * n_blocks)
+    h = np.sqrt(scale) * h.reshape(n_frames, n_blocks, nr, nt)
+    return (msgs, syms, *observe(h, syms, rng))
+
+
 def stage_feedback(ext, receiver, nt):
     """The next JDD stage's EP inputs from decoder extrinsic LLRs (B, V).
 
@@ -685,18 +709,45 @@ def stage_feedback(ext, receiver, nt):
     return (probs, *site_pair(mean, var, receiver.config.min_var))
 
 
+def jdd_stage(ws, schedule, receiver, feedback=None):
+    """One JDD stage on the frames of `ws`: EP, demapper and decoder.
+
+    EP runs `schedule` on the priors `ws.probs` from the workspace's
+    initial pair.  `feedback`, the previous stage's decoder extrinsic
+    LLRs (B, V), replaces both by `stage_feedback`'s.  The frames' LLRs,
+    filler dropped, go to the decoder.  Returns its (bits (B, K),
+    extrinsic LLRs (B, V)); `ws.probs` is None afterwards.
+    """
+    c = receiver.constellation
+    nt = ws.n_dims // 2
+    pair = None
+    if feedback is not None:
+        ws.probs, *pair = stage_feedback(feedback, receiver, nt)
+    x_ab, v_ab, _ = ws.run(schedule, pair=pair, record=False)
+    llr = demap_llr(x_ab, v_ab, ws.probs, c)  # (B*P, nt, Q)
+    n_frames = ws.batch // frame_geometry(receiver.codec, c, nt)[1]
+    llr_frame = llr.reshape(n_frames, -1)[:, : receiver.codec.n_coded]
+    # the decoder runs at the chunk's peak memory; through it the EP
+    # layer holds only H^T H and H^T y
+    del x_ab, v_ab, pair
+    ws.probs = None
+    bits, _, ext = _decode_batch(llr_frame, receiver.codec,
+                                 receiver.decoder_iters, want_feedback=True)
+    return bits, ext
+
+
 def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
     """Run the I-stage turbo receiver over a batch of codeword frames.
 
     h_r is (B, P, 2Nr, 2Nt) with one channel per transmitted block and
     y_r is (B, P, 2Nr).  Filler symbols padding the last block carry no
-    coded bits; their feedback prior stays uniform.
+    coded bits; their feedback prior stays uniform.  Each stage is one
+    `jdd_stage` on a workspace shared by all stages.
     """
     c = receiver.constellation
-    codec = receiver.codec
     bsz, n_blocks = h_r.shape[0], h_r.shape[1]
     nt = h_r.shape[3] // 2
-    n_sym, n_blocks_expect, _ = frame_geometry(codec, c, nt)
+    _, n_blocks_expect, _ = frame_geometry(receiver.codec, c, nt)
     if n_blocks != n_blocks_expect:
         raise ValueError("frame geometry mismatch")
     m = c.n_amplitudes
@@ -712,25 +763,11 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
                               init_lambda=float(config.init_lambda)))
 
     bits_stages, ext_stages = [], []
-    pair = None
-    for stage in range(receiver.n_stages):
-        x_ab, v_ab, _ = ws.run(receiver.schedules[stage], pair=pair,
-                               record=False)
-        llr = demap_llr(x_ab, v_ab, ws.probs, c)  # (B*P, nt, Q)
-        llr_frame = llr.reshape(bsz, -1)[:, : codec.n_coded]
-        # the decoder runs at the chunk's peak memory; through it the EP
-        # layer holds only H^T H and H^T y
-        del x_ab, v_ab, pair
-        ws.probs = None
-        bits, _, ext = _decode_batch(
-            llr_frame, codec, receiver.decoder_iters, want_feedback=True
-        )
+    ext = None
+    for schedule in receiver.schedules:
+        bits, ext = jdd_stage(ws, schedule, receiver, ext)
         bits_stages.append(bits)
         ext_stages.append(ext)
-
-        if stage + 1 < receiver.n_stages:
-            ws.probs, *pair = stage_feedback(ext, receiver, nt)
-
     return JddResult(
         bits_per_stage=np.stack(bits_stages),
         extrinsic_llrs=np.stack(ext_stages),

@@ -12,7 +12,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from .epdetect import (
     _epnet_core,
     _ml_detect_batch,
     bits_from_real_symbols,
+    codeword_frames,
     jdd_receive_batch,
 )
+from .metaopt import ChannelStats, online_train
 from .modem import Constellation, demap_llr, map_bits
 from .turbocode import TurboCodec
 
@@ -206,24 +208,11 @@ class _JddVariant:
         self.receiver = receiver
 
     def run_chunk(self, config, scale, rng, n_frames):
-        from .epdetect import frame_geometry
-        from .turbocode import encode
-
         rx_cfg = self.receiver
-        c = rx_cfg.constellation
-        codec = rx_cfg.codec
-        _, n_blocks, filler = frame_geometry(codec, c, config.nt)
-        q2 = c.bits_per_symbol
-        msgs = rng.integers(0, 2, (n_frames, codec.k))
-        tx = np.empty((n_frames, n_blocks * config.nt * q2), dtype=np.int64)
-        for f in range(n_frames):
-            cw = encode(msgs[f], codec)
-            tx[f] = np.concatenate([cw, rng.integers(0, 2, filler * q2)])
-        syms = map_bits(tx, c).reshape(n_frames, n_blocks, config.nt)
-        h = sample_channels(config.channel_kind, config.nt, config.nr,
-                            config.rho, rng, n_frames * n_blocks)
-        h = np.sqrt(scale) * h.reshape(n_frames, n_blocks, config.nr, config.nt)
-        res = jdd_receive_batch(*observe(h, syms, rng), rx_cfg)
+        msgs, _, h_r, y_r = codeword_frames(
+            rx_cfg.codec, rx_cfg.constellation, config.channel_kind, config.nt,
+            config.nr, config.rho, scale, n_frames, rng)
+        res = jdd_receive_batch(h_r, y_r, rx_cfg)
         out = {}
         for i in range(rx_cfg.n_stages):
             wrong = res.bits_per_stage[i] != msgs
@@ -250,8 +239,6 @@ def _receiver(config, snr_idx, snr_db, theta, codec=None):
     from the fixed-EP damping for EPNet and from raw 1.0 (effective 0.73)
     for JDD.
     """
-    from .metaopt import ChannelStats, online_train
-
     stages = 1 if codec is None else config.jdd_stages
     sched = np.tile(_fixed_schedule(config), (stages, 1))
     if config.damping_source == "table":

@@ -15,7 +15,7 @@ cavity mean, so no autodiff machinery is needed anywhere.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +23,11 @@ from .channel import REAL_NOISE_VAR, SnrSpec, observe, sample_channels, snr_scal
 from .epdetect import (
     DampingSchedule,
     EpConfig,
-    JddReceiver,
+    EpWorkspace,
     _epnet_core,  # unused here; bench/tests/test_tracer.py traces this site
+    codeword_frames,
+    damp,
+    jdd_stage,
     sigmoid,
     stage_feedback,
 )
@@ -471,6 +474,22 @@ class EpTrainingSet:
     noise_var: float = REAL_NOISE_VAR
 
 
+def _first_stage_set(h_r, y_r, x_r, constellation, init_lambda):
+    """A first detection stage's training set: uniform priors and the
+    initial site pair (zero gamma, `init_lambda`) on every dimension."""
+    b, n = x_r.shape
+    m = constellation.n_amplitudes
+    return EpTrainingSet(
+        h_r=h_r,
+        y_r=y_r,
+        x_r=x_r,
+        prior_probs=np.full((b, n, m), 1.0 / m),
+        init_gamma=np.zeros((b, n)),
+        init_lambda=np.full((b, n), init_lambda),
+        constellation=constellation,
+    )
+
+
 def generate_training_set(stats, rng=None):
     """Draw labeled (x, y, H) realizations from the channel statistics."""
     if stats.n_samples < 1:
@@ -486,16 +505,7 @@ def generate_training_set(stats, rng=None):
     x = map_bits(bits, c)
     h_r, y_r = observe(h, x, rng)
     x_r = np.concatenate([x.real, x.imag], axis=-1)
-    n, m = 2 * nt, c.n_amplitudes
-    return EpTrainingSet(
-        h_r=h_r,
-        y_r=y_r,
-        x_r=x_r,
-        prior_probs=np.full((b, n, m), 1.0 / m),
-        init_gamma=np.zeros((b, n)),
-        init_lambda=np.full((b, n), EpConfig().init_lambda),
-        constellation=c,
-    )
+    return _first_stage_set(h_r, y_r, x_r, c, EpConfig().init_lambda)
 
 
 def _workspace_for(dataset, layers, min_var, workspace=None):
@@ -506,8 +516,6 @@ def _workspace_for(dataset, layers, min_var, workspace=None):
     pointed at this dataset's priors and initial pair and returned, so
     H^T H is not computed again.
     """
-    from .epdetect import EpWorkspace
-
     cfg = EpConfig(
         layers=layers,
         min_var=min_var,
@@ -535,8 +543,6 @@ def epnet_loss_and_grad(beta_raw, dataset, min_var=5e-7, fd_step=1e-3,
     state instead of recomputing the whole detector.  The last damping
     factor acts after the emitted cavity, so its gradient is exactly 0.
     """
-    from .epdetect import damp
-
     beta_raw = np.asarray(beta_raw, dtype=float)
     n_layers = beta_raw.size
     ws = workspace or _workspace_for(dataset, n_layers, min_var)
@@ -609,25 +615,17 @@ def train_schedule(theta, dataset, layers, epochs=100, beta_init=1.0,
 
 
 def _codeword_training_set(receiver, stats, rng):
-    """Codeword-level dataset for JDD training: per-block channels and labels."""
-    from .epdetect import frame_geometry
-    from .turbocode import encode
+    """Codeword frames for JDD training, drawn as a sweep draws a chunk.
 
-    c = receiver.constellation
-    codec = receiver.codec
-    nt, nr = stats.nt, stats.nr
-    n_sym, n_blocks, filler = frame_geometry(codec, c, nt)
-    q2 = c.bits_per_symbol
-    b = stats.n_samples
-    msgs = rng.integers(0, 2, (b, codec.k))
-    tx = np.empty((b, n_blocks * nt * q2), dtype=np.int64)
-    tx[:, : codec.n_coded] = encode(msgs, codec)
-    for f in range(b):
-        tx[f, codec.n_coded :] = rng.integers(0, 2, filler * q2)
-    syms = map_bits(tx, c).reshape(b, n_blocks, nt)
-    h = sample_channels(stats.kind, nt, nr, stats.rho, rng, b * n_blocks)
-    h = np.sqrt(snr_scale(stats.snr, nt, nr)) * h.reshape(b, n_blocks, nr, nt)
-    h_r, y_r = observe(h, syms, rng)
+    `codeword_frames` draws `stats.n_samples` frames of the receiver's
+    code with one channel per block.  Returns (h_r (B, P, 2nr, 2nt),
+    y_r (B, P, 2nr), x_r (B, P, 2nt), msgs (B, K)), where x_r is the
+    real embedding of the sent symbols.
+    """
+    msgs, syms, h_r, y_r = codeword_frames(
+        receiver.codec, receiver.constellation, stats.kind, stats.nt,
+        stats.nr, stats.rho, snr_scale(stats.snr, stats.nt, stats.nr),
+        stats.n_samples, rng)
     x_r = np.concatenate([syms.real, syms.imag], axis=-1)
     return h_r, y_r, x_r, msgs
 
@@ -636,84 +634,48 @@ def online_train(receiver, channel_stats, theta, epochs=100, rng=None,
                  plateau_tol=1e-4, plateau_window=10):
     """Online-train the damping schedules of every receiver stage.
 
-    Each stage starts from its row of `receiver.schedules` and keeps the
-    best iterate seen, so epochs=0 returns the receiver's schedules
-    unchanged.  Stages train sequentially: stage i sees the priors and
-    initial site pairs produced by running the already-trained stages
-    1..i-1 over the generated dataset.  Returns (trained receiver, list
-    of loss curves).
+    A receiver without a codec has one stage, trained on
+    `generate_training_set`'s detection instances.  A JDD receiver
+    trains on `_codeword_training_set`'s frames, one detection instance
+    per block.  Each stage starts from its row of `receiver.schedules`
+    and keeps the best iterate seen, so epochs=0 returns the receiver's
+    schedules unchanged.  Stages train sequentially on one EP workspace:
+    stage i sees the priors and initial site pairs that a frozen pass of
+    the trained stage i-1 (`jdd_stage`, then `stage_feedback`) produces
+    over the same frames.  Returns (the receiver with the trained
+    schedules, list of loss curves).
     """
     rng = rng or np.random.default_rng(channel_stats.seed)
     if channel_stats.n_samples < 1:
         raise ValueError("channel statistics dataset is empty")
     cfg = receiver.config
-    layers = receiver.layers
-
     if receiver.codec is None:
-        # pure detection: one stage trained on uniform-prior instances
         if receiver.n_stages != 1:
             raise ValueError("a codec-free receiver has exactly one stage")
         dataset = generate_training_set(channel_stats, rng)
-        sched, curve = train_schedule(
-            theta, dataset, layers, epochs, beta_init=receiver.schedules[0],
-            plateau_tol=plateau_tol, plateau_window=plateau_window,
-            min_var=cfg.min_var,
-        )
-        trained = JddReceiver(
-            codec=None, constellation=receiver.constellation,
-            schedules=sched.raw[None, :], config=cfg,
-        )
-        return trained, [curve]
-
-    from .modem import demap_llr
-    from .turbocode import _decode_batch
-
-    c = receiver.constellation
-    h_r, y_r, x_r, _ = _codeword_training_set(receiver, channel_stats, rng)
-    b, n_blocks = h_r.shape[:2]
-    nt = h_r.shape[-1] // 2
-    m = c.n_amplitudes
-    flat = lambda a: a.reshape(-1, *a.shape[2:])
-
-    prior_probs = np.full((b * n_blocks, 2 * nt, m), 1.0 / m)
-    init_gamma = np.zeros((b * n_blocks, 2 * nt))
-    init_lambda = np.full((b * n_blocks, 2 * nt), cfg.init_lambda)
+    else:
+        frames = _codeword_training_set(receiver, channel_stats, rng)[:3]
+        h_r, y_r, x_r = (a.reshape(-1, *a.shape[2:]) for a in frames)
+        dataset = _first_stage_set(h_r, y_r, x_r, receiver.constellation,
+                                   cfg.init_lambda)
 
     schedules = []
     curves = []
     ws = None  # one workspace, hence one H^T H, for every stage
-    for stage in range(receiver.n_stages):
-        dataset = EpTrainingSet(
-            h_r=flat(h_r), y_r=flat(y_r), x_r=flat(x_r),
-            prior_probs=prior_probs, init_gamma=init_gamma,
-            init_lambda=init_lambda, constellation=c,
-        )
-        ws = _workspace_for(dataset, layers, cfg.min_var, ws)
+    for stage, start in enumerate(receiver.schedules):
+        if stage:
+            # a frozen pass of the stage just trained gives this stage's
+            # priors and initial pair
+            _, ext = jdd_stage(ws, schedules[-1], receiver)
+            probs, gamma, lam = stage_feedback(ext, receiver, channel_stats.nt)
+            dataset = replace(dataset, prior_probs=probs, init_gamma=gamma,
+                              init_lambda=lam)
+        ws = _workspace_for(dataset, receiver.layers, cfg.min_var, ws)
         sched, curve = train_schedule(
-            theta, dataset, layers, epochs,
-            beta_init=receiver.schedules[stage],
+            theta, dataset, receiver.layers, epochs, beta_init=start,
             plateau_tol=plateau_tol, plateau_window=plateau_window,
             min_var=cfg.min_var, workspace=ws,
         )
         schedules.append(sched.raw)
         curves.append(curve)
-
-        if stage + 1 < receiver.n_stages:
-            # frozen forward pass of this stage to build the next stage inputs
-            x_ab, v_ab, _ = ws.run(sched.raw, record=False)
-            llr = demap_llr(x_ab, v_ab, prior_probs, c)
-            llr_frame = llr.reshape(b, -1)[:, : receiver.codec.n_coded]
-            _, _, ext = _decode_batch(
-                llr_frame, receiver.codec, receiver.decoder_iters,
-                want_feedback=True,
-            )
-            prior_probs, init_gamma, init_lambda = stage_feedback(
-                ext, receiver, nt)
-
-    trained = JddReceiver(
-        codec=receiver.codec, constellation=c,
-        schedules=np.stack(schedules), config=cfg,
-        decoder_iters=receiver.decoder_iters,
-        feedback_scale=receiver.feedback_scale,
-    )
-    return trained, curves
+    return replace(receiver, schedules=np.stack(schedules)), curves

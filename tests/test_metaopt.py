@@ -614,6 +614,54 @@ class TestOnlineTrain:
                                       rx.decoder_iters, want_feedback=True)
             probs, gamma, lam = stage_feedback(ext, rx, stats.nt)
 
+    @pytest.mark.parametrize("stages, coded", [(1, False), (1, True),
+                                               (3, True)])
+    def test_one_frozen_jdd_stage_between_trained_stages(
+            self, quick_theta, monkeypatch, stages, coded):
+        # stage i > 1 trains on one frozen `jdd_stage` pass of stage i - 1,
+        # so a one-stage receiver, coded or not, runs none
+        from epturbo import metaopt
+        from epturbo.turbocode import TurboCodec
+
+        codec = TurboCodec(k=16, decoder="max-log", n_iter=2) if coded else None
+        rx = self.make_receiver(stages=stages, layers=2, codec=codec)
+        stats = small_stats(nt=4, nr=4, n_samples=16)
+        calls = []
+        stage = metaopt.jdd_stage
+
+        def counting_stage(ws, schedule, receiver, *args):
+            calls.append(schedule.copy())
+            return stage(ws, schedule, receiver, *args)
+
+        monkeypatch.setattr(metaopt, "jdd_stage", counting_stage)
+        trained, curves = online_train(rx, stats, quick_theta, epochs=2)
+        assert len(calls) == stages - 1
+        assert len(curves) == stages
+        for sched, raw in zip(calls, trained.schedules):
+            assert np.array_equal(sched, raw)
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_trained_receiver_keeps_all_but_schedules(self, quick_theta,
+                                                      coded):
+        import dataclasses
+
+        from epturbo.turbocode import TurboCodec
+
+        codec = TurboCodec(k=16, decoder="max-log", n_iter=2) if coded else None
+        stages = 2 if coded else 1
+        rx = JddReceiver(codec=codec, constellation=Constellation(4),
+                         schedules=np.ones((stages, 2)),
+                         config=EpConfig(layers=2, min_var=1e-6),
+                         decoder_iters=3, feedback_scale=0.6)
+        stats = small_stats(nt=4, nr=4, n_samples=16)
+        trained, _ = online_train(rx, stats, quick_theta, epochs=3)
+        assert trained is not rx
+        assert trained.schedules.shape == rx.schedules.shape
+        assert np.array_equal(rx.schedules, np.ones((stages, 2)))
+        for f in dataclasses.fields(JddReceiver):
+            if f.name != "schedules":
+                assert getattr(trained, f.name) is getattr(rx, f.name), f.name
+
     def test_jdd_sequential_training_shapes(self, quick_theta):
         from epturbo.turbocode import TurboCodec
 
