@@ -667,11 +667,12 @@ def codeword_frames(codec, constellation, kind, nt, nr, rho, scale, n_frames,
                     rng):
     """Draw, encode and transmit `n_frames` codeword frames.
 
-    The generator draws the messages, then each frame's filler bits (the
-    frame is encoded one message at a time and its filler appended),
-    then one channel per block of `nt` symbols, scaled by `scale`, then
-    the noise.  Returns (msgs (B, K), syms (B, P, nt), h_r (B, P, 2nr,
-    2nt), y_r (B, P, 2nr)) for the frames' P blocks.
+    The generator draws the messages, then every frame's filler bits in
+    one call (the same bits, and the same generator state, as one draw
+    per frame), then one channel per block of `nt` symbols, scaled by
+    `scale`, then the noise.  Frames are encoded one message at a time.
+    Returns (msgs (B, K), syms (B, P, nt), h_r (B, P, 2nr, 2nt), y_r (B,
+    P, 2nr)) for the frames' P blocks.
     """
     _, n_blocks, filler = frame_geometry(codec, constellation, nt)
     q2 = constellation.bits_per_symbol
@@ -679,7 +680,7 @@ def codeword_frames(codec, constellation, kind, nt, nr, rho, scale, n_frames,
     tx = np.empty((n_frames, n_blocks * nt * q2), dtype=np.int64)
     for f in range(n_frames):
         tx[f, : codec.n_coded] = encode(msgs[f], codec)
-        tx[f, codec.n_coded :] = rng.integers(0, 2, filler * q2)
+    tx[:, codec.n_coded :] = rng.integers(0, 2, (n_frames, filler * q2))
     syms = map_bits(tx, constellation).reshape(n_frames, n_blocks, nt)
     h = sample_channels(kind, nt, nr, rho, rng, n_frames * n_blocks)
     h = np.sqrt(scale) * h.reshape(n_frames, n_blocks, nr, nt)

@@ -120,42 +120,68 @@ def zero_state(n_coords):
     return {k: np.zeros((n_coords, HIDDEN)) for k in ("h1", "c1", "h2", "c2")}
 
 
-def _cell_forward(x, h, c, w, u, b):
-    z = x @ w.T
-    z += h @ u.T
-    z += b
-    s = sigmoid(z[:, : 3 * HIDDEN])  # input, forget and output gates
-    g = np.tanh(z[:, 3 * HIDDEN :])
-    c_new = s[:, HIDDEN : 2 * HIDDEN] * c + s[:, :HIDDEN] * g
+def _cell_forward(x, h, c, w, u, b, h_out=None, c_out=None):
+    """One cell step on gate-major rows: x (I, B), h and c (H, B).
+
+    The gates z = W x + U h + b are a (4H, B) array, so each gate, the
+    cell and the hidden state are contiguous rows of B values and every
+    elementwise pass runs on whole rows.  Each product gives the values,
+    bit for bit, of the batch-major `x @ W.T` and `h @ U.T`.  The new
+    states go into `h_out` and `c_out` when given.  `_lstm_forward`
+    passes as `h_out` the transposed view of contiguous (B, H) rows,
+    because the head's gemv must read those: `w @ h2` on gate-major rows,
+    or `h2.T @ w` on their transposed view, runs another BLAS kernel, and
+    gave the bits of `h2_rows @ w` in only 27 of 140 random cases.  The
+    products that take such a view as x or h keep their bits.  Returns
+    (h_new, c_new, (c, s, g, tc)).
+    """
+    z = w @ x
+    z += u @ h
+    z += b[:, None]
+    s = sigmoid(z[: 3 * HIDDEN])  # input, forget and output gates
+    g = np.tanh(z[3 * HIDDEN :])
+    c_new = np.multiply(s[HIDDEN : 2 * HIDDEN], c, out=c_out)
+    c_new += s[:HIDDEN] * g
     tc = np.tanh(c_new)
-    h_new = s[:, 2 * HIDDEN :] * tc
-    return h_new, c_new, (x, h, c, s, g, tc)
+    h_new = np.multiply(s[2 * HIDDEN :], tc, out=h_out)
+    return h_new, c_new, (c, s, g, tc)
 
 
 def _cell_backward(dh, dc_in, cache, u, dz):
-    """Backpropagate one cell step, writing dL/dz into `dz` (B, 4H).
+    """Backpropagate one cell step, writing dL/dz into `dz` (4H, B).
 
-    Returns (dh_prev, dc_prev).  The caller forms the weight gradients
-    dz^T x, dz^T h and the bias gradient, the row sum of dz, and the
-    input gradient dz @ W.
+    Gate-major like `_cell_forward`: dh, dc_in and the returned
+    (dh_prev, dc_prev) are (H, B) rows, and dh_prev = U^T dz gives the
+    bits of the batch-major `dz @ U`.  The caller forms the weight
+    gradients dz x^T, dz h^T and the bias gradient, the row sum of dz,
+    and the input gradient W^T dz.
     """
-    _, _, c, s, g, tc = cache
-    dc = dc_in + dh * s[:, 2 * HIDDEN :] * (1.0 - tc**2)
-    np.multiply(dc, g, out=dz[:, :HIDDEN])
-    np.multiply(dc, c, out=dz[:, HIDDEN : 2 * HIDDEN])
-    np.multiply(dh, tc, out=dz[:, 2 * HIDDEN : 3 * HIDDEN])
-    gates = dz[:, : 3 * HIDDEN]
+    c, s, g, tc = cache
+    dc = dc_in + dh * s[2 * HIDDEN :] * (1.0 - tc**2)
+    np.multiply(dc, g, out=dz[:HIDDEN])
+    np.multiply(dc, c, out=dz[HIDDEN : 2 * HIDDEN])
+    np.multiply(dh, tc, out=dz[2 * HIDDEN : 3 * HIDDEN])
+    gates = dz[: 3 * HIDDEN]
     gates *= s
     gates *= 1 - s
-    cand = np.multiply(dc, s[:, :HIDDEN], out=dz[:, 3 * HIDDEN :])
+    cand = np.multiply(dc, s[:HIDDEN], out=dz[3 * HIDDEN :])
     cand *= 1 - g**2
-    return dz @ u, dc * s[:, HIDDEN : 2 * HIDDEN]
+    return u.T @ dz, dc * s[HIDDEN : 2 * HIDDEN]
 
 
 # exp(-p), the smallest |g| of the log channel, and exp(p), the gain of
 # the linear channel below it
 _LOG_FLOOR = np.exp(-PREPROCESS_P)
 _LINEAR_GAIN = np.exp(PREPROCESS_P)
+
+
+def _gradient_channels(grad):
+    """The log-magnitude and sign channels of `preprocess_gradient`."""
+    mag = np.abs(grad)
+    big = mag >= _LOG_FLOOR
+    log_part = np.where(big, np.log(np.where(big, mag, 1.0)) / PREPROCESS_P,
+                        -1.0)
+    return log_part, np.where(big, np.sign(grad), _LINEAR_GAIN * grad)
 
 
 def preprocess_gradient(grad):
@@ -167,28 +193,38 @@ def preprocess_gradient(grad):
     gradient of 1e-3 enters the network on the same scale as one of 1
     instead of collapsing onto its zero-input output.
     """
-    grad = np.asarray(grad, dtype=float)
-    mag = np.abs(grad)
-    big = mag >= _LOG_FLOOR
-    log_part = np.where(big, np.log(np.where(big, mag, 1.0)) / PREPROCESS_P,
-                        -1.0)
-    sign_part = np.where(big, np.sign(grad), _LINEAR_GAIN * grad)
-    return np.stack([log_part, sign_part], axis=-1)
+    return np.stack(_gradient_channels(np.asarray(grad, dtype=float)),
+                    axis=-1)
 
 
-def _lstm_forward(theta, grad, state):
+def _lstm_forward(theta, grad, state, out=None):
+    """Both cells and the head for one step, on gate-major state.
+
+    `state` maps "h1", "c1", "h2" and "c2" to (H, B) rows; the new state
+    comes back in that layout.  The input x (2, B) and the hidden states
+    are written as transposed views of contiguous (B, .) rows, the layout
+    the head's gemv (see `_cell_forward`) and the stacked weight-gradient
+    products read.  `out`, when given, maps "x", "h1", "c1", "h2" and
+    "c2" to the arrays that receive the input and the new state, with x,
+    h1 and h2 such transposed views.  Returns (step, new_state, (cache1,
+    cache2)).
+    """
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient passed to the optimizer")
+    b = grad.size
+    out = out or {"x": np.empty((b, ARCH["input"])).T, "c1": None, "c2": None,
+                  "h1": np.empty((b, HIDDEN)).T, "h2": np.empty((b, HIDDEN)).T}
     w = theta.weights
-    x = preprocess_gradient(np.clip(grad, -GRAD_CLIP, GRAD_CLIP))
-    h1, c1, cache1 = _cell_forward(x, state["h1"], state["c1"],
-                                   w["l1.W"], w["l1.U"], w["l1.b"])
-    h2, c2, cache2 = _cell_forward(h1, state["h2"], state["c2"],
-                                   w["l2.W"], w["l2.U"], w["l2.b"])
-    step = OUTPUT_SCALE * (h2 @ w["head.w"] + w["head.b"][0])
+    x = out["x"]
+    x[0], x[1] = _gradient_channels(np.clip(grad, -GRAD_CLIP, GRAD_CLIP))
+    h1, c1, cache1 = _cell_forward(x, state["h1"], state["c1"], w["l1.W"],
+                                   w["l1.U"], w["l1.b"], out["h1"], out["c1"])
+    h2, c2, cache2 = _cell_forward(h1, state["h2"], state["c2"], w["l2.W"],
+                                   w["l2.U"], w["l2.b"], out["h2"], out["c2"])
+    step = OUTPUT_SCALE * (h2.T @ w["head.w"] + w["head.b"][0])
     new_state = {"h1": h1, "c1": c1, "h2": h2, "c2": c2}
-    return step, new_state, (cache1, cache2, h2)
+    return step, new_state, (cache1, cache2)
 
 
 def lstm_step(theta, grad, state):
@@ -198,10 +234,12 @@ def lstm_step(theta, grad, state):
     (step, new_state) where step is added to the coordinate by the
     caller.  Gradients are clipped to +-GRAD_CLIP and then enter the
     network as the two channels of `preprocess_gradient`; the linear head
-    output is scaled by OUTPUT_SCALE.
+    output is scaled by OUTPUT_SCALE.  The states are (n, HIDDEN) arrays,
+    as `zero_state` makes them; the network runs on their transposes.
     """
-    step, new_state, _ = _lstm_forward(theta, grad, state)
-    return step, new_state
+    rows = {k: v.T for k, v in state.items()}
+    step, new_rows, _ = _lstm_forward(theta, grad, rows)
+    return step, {k: v.T for k, v in new_rows.items()}
 
 
 @dataclass
@@ -273,9 +311,12 @@ def _unrolled_loss_and_grads(theta, tasks, horizon, beta0, frozen_inputs=None):
 
     All tasks advance together: one stacked (T, d, d) product gives every
     task's gradient, as `QuadraticTask.grad` computes it, operand layout
-    included.  The backward pass keeps only the recurrence in its loop;
-    the weight gradients are stacked products over all steps, summed in
-    the order a per-step accumulation would add them.
+    included.  The steps write their inputs and hidden states into
+    batch-major (T+1, B, .) stacks and their cell states and dL/dz into
+    gate-major (T+1, H, B) and (T, 4H, B) ones.  The backward pass keeps only the
+    recurrence in its loop; the weight gradients are stacked products
+    over all steps, summed in the order a per-step accumulation would add
+    them.
     """
     w = theta.weights
     n_tasks, dim = beta0.shape
@@ -284,7 +325,10 @@ def _unrolled_loss_and_grads(theta, tasks, horizon, beta0, frozen_inputs=None):
     a2t = (2.0 * a).transpose(0, 2, 1)  # laid out as `2.0 * self.w.T`
     q = np.stack([t.q for t in tasks])[..., None]
     beta = beta0.copy()
-    state = zero_state(b)
+    # entry t + 1 holds step t's output; entry 0 is the zero state
+    h_rows = np.zeros((2, horizon + 1, b, HIDDEN))
+    cs = np.zeros((2, horizon + 1, HIDDEN, b))
+    x_rows = np.empty((horizon, b, ARCH["input"]))
     caches = []
     inputs = []
     for t_step in range(horizon):
@@ -293,7 +337,12 @@ def _unrolled_loss_and_grads(theta, tasks, horizon, beta0, frozen_inputs=None):
         else:
             grad = frozen_inputs[t_step]
         inputs.append(grad)
-        step, state, cache = _lstm_forward(theta, grad, state)
+        state = {"h1": h_rows[0, t_step].T, "c1": cs[0, t_step],
+                 "h2": h_rows[1, t_step].T, "c2": cs[1, t_step]}
+        out = {"x": x_rows[t_step].T, "h1": h_rows[0, t_step + 1].T,
+               "c1": cs[0, t_step + 1], "h2": h_rows[1, t_step + 1].T,
+               "c2": cs[1, t_step + 1]}
+        step, _, cache = _lstm_forward(theta, grad, state, out)
         caches.append(cache)
         beta = beta + step.reshape(n_tasks, dim)
 
@@ -302,31 +351,32 @@ def _unrolled_loss_and_grads(theta, tasks, horizon, beta0, frozen_inputs=None):
 
     # the same for every t: beta_T = beta_0 + sum steps
     dstep = (a2t @ r).reshape(b) / b
-    dh_head = OUTPUT_SCALE * dstep[:, None] * w["head.w"][None, :]
-    dz1 = np.empty((horizon, b, 4 * HIDDEN))
-    dz2 = np.empty((horizon, b, 4 * HIDDEN))
-    dh1 = dc1 = dh2 = dc2 = np.zeros((b, HIDDEN))
+    dh_head = w["head.w"][:, None] * (OUTPUT_SCALE * dstep)
+    dz1 = np.empty((horizon, 4 * HIDDEN, b))
+    dz2 = np.empty((horizon, 4 * HIDDEN, b))
+    dh1 = dc1 = dh2 = dc2 = np.zeros((HIDDEN, b))
     for t_step in reversed(range(horizon)):
-        cache1, cache2, _ = caches[t_step]
+        cache1, cache2 = caches[t_step]
         dh2, dc2 = _cell_backward(dh2 + dh_head, dc2, cache2, w["l2.U"],
                                   dz2[t_step])
-        dh1, dc1 = _cell_backward(dh1 + dz2[t_step] @ w["l2.W"], dc1, cache1,
-                                  w["l1.U"], dz1[t_step])
+        dh1, dc1 = _cell_backward(dh1 + w["l2.W"].T @ dz2[t_step], dc1,
+                                  cache1, w["l1.U"], dz1[t_step])
 
-    def per_step(values, width):
-        return np.array(values).reshape(horizon, b, width)
-
+    # A product over the B coordinates keeps its bits only on the operand
+    # layout it had: dz batch-major, read through its transpose.  One
+    # buffer serves both layers; a fresh copy per layer took about 100
+    # page faults an epoch, as the heap grew and was trimmed each time.
     grads = {}
-    for prefix, layer, dz, width in (("l1", 0, dz1, ARCH["input"]),
-                                     ("l2", 1, dz2, HIDDEN)):
-        x = per_step([c[layer][0] for c in caches], width)
-        h = per_step([c[layer][1] for c in caches], HIDDEN)
+    dz = np.empty((horizon, b, 4 * HIDDEN))
+    for prefix, dz_rows, x, h in (("l1", dz1, x_rows, h_rows[0, :-1]),
+                                  ("l2", dz2, h_rows[0, 1:], h_rows[1, :-1])):
+        np.copyto(dz, dz_rows.transpose(0, 2, 1))
         dz_t = dz.transpose(0, 2, 1)
         grads[f"{prefix}.W"] = _sum_backward_order(dz_t @ x)
         grads[f"{prefix}.U"] = _sum_backward_order(dz_t @ h)
         grads[f"{prefix}.b"] = _sum_backward_order(dz.sum(axis=1))
-    h2 = per_step([c[2] for c in caches], HIDDEN)
-    grads["head.w"] = _sum_backward_order(OUTPUT_SCALE * (dstep @ h2))
+    grads["head.w"] = _sum_backward_order(
+        OUTPUT_SCALE * (dstep @ h_rows[1, 1:]))
     grads["head.b"] = _sum_backward_order(
         np.full((horizon, 1), OUTPUT_SCALE * dstep.sum()))
     return loss, grads, inputs
@@ -529,7 +579,49 @@ def _workspace_for(dataset, layers, min_var, workspace=None):
     return workspace
 
 
-def epnet_loss_and_grad(beta_raw, dataset, min_var=5e-7, fd_step=1e-3,
+# the central-difference step of the online damping gradient
+_FD_STEP = 1e-3
+
+
+def _output_mse(x_ab, dataset):
+    return float(np.mean(np.sum((x_ab - dataset.x_r) ** 2, axis=-1)))
+
+
+def _recorded_loss(beta_raw, dataset, ws):
+    """`epnet_loss_and_grad`'s loss, and the records its gradient needs.
+
+    The central differences warm-start from layers 0..L-2, so those are
+    recorded; the last layer only runs to its cavity.
+    """
+    _, _, recs = ws.run(beta_raw[:-1])
+    pair = (recs[-1]["gamma_out"], recs[-1]["lam_out"]) if recs else None
+    x_out, _, _ = ws.run(beta_raw, start_layer=beta_raw.size - 1, pair=pair,
+                         record=False)
+    return _output_mse(x_out, dataset), recs
+
+
+def _fd_gradient(beta_raw, dataset, ws, recs, fd_step):
+    """`epnet_loss_and_grad`'s gradient from `_recorded_loss`'s records.
+
+    Each side of the difference at layer i is a tail run from the damped
+    update of layer i; the last coordinate's gradient is 0.
+    """
+    grad = np.zeros_like(beta_raw)
+    for i in range(beta_raw.size - 1):
+        sides = []
+        for sign in (1.0, -1.0):
+            b = beta_raw.copy()
+            b[i] += sign * fd_step
+            pair = damp((recs[i]["gamma_in"], recs[i]["lam_in"]),
+                        (recs[i]["cand_gamma"], recs[i]["cand_lam"]), b[i])
+            x_tail, _, _ = ws.run(b, start_layer=i + 1, pair=pair,
+                                  record=False)
+            sides.append(_output_mse(x_tail, dataset))
+        grad[i] = (sides[0] - sides[1]) / (2 * fd_step)
+    return grad
+
+
+def epnet_loss_and_grad(beta_raw, dataset, min_var=5e-7, fd_step=_FD_STEP,
                         workspace=None):
     """Output-layer MSE and its central-difference gradient on raw beta.
 
@@ -544,33 +636,9 @@ def epnet_loss_and_grad(beta_raw, dataset, min_var=5e-7, fd_step=1e-3,
     factor acts after the emitted cavity, so its gradient is exactly 0.
     """
     beta_raw = np.asarray(beta_raw, dtype=float)
-    n_layers = beta_raw.size
-    ws = workspace or _workspace_for(dataset, n_layers, min_var)
-
-    def output_loss(x_ab):
-        return float(np.mean(np.sum((x_ab - dataset.x_r) ** 2, axis=-1)))
-
-    # the warm starts need layers 0..L-2 recorded; the last layer only
-    # its cavity
-    _, _, recs = ws.run(beta_raw[:-1])
-    pair = (recs[-1]["gamma_out"], recs[-1]["lam_out"]) if recs else None
-    x_out, _, _ = ws.run(beta_raw, start_layer=n_layers - 1, pair=pair,
-                         record=False)
-    center = output_loss(x_out)
-
-    grad = np.zeros_like(beta_raw)
-    for i in range(n_layers - 1):
-        sides = []
-        for sign in (1.0, -1.0):
-            b = beta_raw.copy()
-            b[i] += sign * fd_step
-            pair = damp((recs[i]["gamma_in"], recs[i]["lam_in"]),
-                        (recs[i]["cand_gamma"], recs[i]["cand_lam"]), b[i])
-            x_tail, _, _ = ws.run(b, start_layer=i + 1, pair=pair,
-                                  record=False)
-            sides.append(output_loss(x_tail))
-        grad[i] = (sides[0] - sides[1]) / (2 * fd_step)
-    return center, grad
+    ws = workspace or _workspace_for(dataset, beta_raw.size, min_var)
+    center, recs = _recorded_loss(beta_raw, dataset, ws)
+    return center, _fd_gradient(beta_raw, dataset, ws, recs, fd_step)
 
 
 def train_schedule(theta, dataset, layers, epochs=100, beta_init=1.0,
@@ -583,25 +651,29 @@ def train_schedule(theta, dataset, layers, epochs=100, beta_init=1.0,
     its gradient is exactly 0 and training leaves it at its starting
     value: the LSTM still runs on all L coordinates, and that
     coordinate's step is dropped.  Stops early once the relative loss
-    improvement over the plateau window falls below the tolerance.
-    Returns (schedule, loss curve), where the schedule is the best
-    iterate seen, so training never ends worse than its starting point
-    on the training set.  `workspace` is an EP workspace already set up
-    for `dataset` (see `_workspace_for`); by default one is built.
+    improvement over the plateau window falls below the tolerance.  The
+    losses and gradients are `epnet_loss_and_grad`'s, but an iterate's
+    gradient is computed only when the optimizer steps from it, so the
+    last iterate costs its loss alone.  Returns (schedule, loss curve),
+    where the schedule is the best iterate seen, so training never ends
+    worse than its starting point on the training set.  `workspace` is
+    an EP workspace already set up for `dataset` (see `_workspace_for`);
+    by default one is built.
     """
     beta = np.broadcast_to(np.asarray(beta_init, dtype=float),
                            (layers,)).copy()
     state = zero_state(layers)
-    losses = []
     ws = workspace or _workspace_for(dataset, layers, min_var)
-    loss, grad = epnet_loss_and_grad(beta, dataset, min_var, workspace=ws)
-    losses.append(loss)
+    loss, recs = _recorded_loss(beta, dataset, ws)
+    losses = [loss]
     best_beta, best_loss = beta.copy(), loss
     for _ in range(epochs):
+        grad = _fd_gradient(beta, dataset, ws, recs, _FD_STEP)
+        del recs  # the next loss records its own; hold one set at a time
         step, state = lstm_step(theta, grad, state)
         step[-1] = 0.0
         beta = beta + step
-        loss, grad = epnet_loss_and_grad(beta, dataset, min_var, workspace=ws)
+        loss, recs = _recorded_loss(beta, dataset, ws)
         losses.append(loss)
         if np.isfinite(loss) and loss < best_loss:
             best_beta, best_loss = beta.copy(), loss

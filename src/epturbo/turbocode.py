@@ -300,7 +300,10 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     # With two 2.2 MB arrays, the EP and online-training figures of the
     # benchmark's sweep-jdd runs were 2-5% slower than with the
     # (B, K+3, 8, 2) decoder (1-2 wins in 10 pairs); with one, they are not.
-    sweep = np.full((n + 1, 16, b), NEG_INF)
+    # Steps write rows 1..n in full before reading them, so only row 0,
+    # the known start states of alpha and beta, is initialised.
+    sweep = np.empty((n + 1, 16, b))
+    sweep[0] = NEG_INF
     sweep[0, 0] = sweep[0, 8] = 0.0
     for j in range(n):
         cand = sweep[j].take(state_idx, axis=0)

@@ -106,3 +106,33 @@ def test_training_set_is_the_framing_of_its_statistics(kind, rho):
         assert np.array_equal(a, b)
     assert np.array_equal(x_r, np.concatenate([want[1].real, want[1].imag],
                                               axis=-1))
+
+
+@pytest.mark.parametrize("n_frames", [1, 7, 512])
+def test_one_filler_draw_equals_a_draw_per_frame(n_frames):
+    # `codeword_frames` draws every frame's filler bits in one call; the
+    # framings above drew them frame by frame
+    for size in range(34):
+        per_frame = np.random.default_rng([size, n_frames])
+        batched = np.random.default_rng([size, n_frames])
+        want = np.array([per_frame.integers(0, 2, size)
+                         for _ in range(n_frames)]).reshape(n_frames, size)
+        got = batched.integers(0, 2, (n_frames, size))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), size
+        assert batched.bit_generator.state == per_frame.bit_generator.state
+
+
+# a sweep chunk is 512 frames
+@pytest.mark.parametrize("n_frames", [1, 512])
+@pytest.mark.parametrize("nt, nr, order, k", GEOMETRIES)
+def test_codeword_frames_match_sweep_framing_at_chunk_sizes(nt, nr, order, k,
+                                                             n_frames):
+    codec = TurboCodec(k=k, decoder="max-log", n_iter=2, seed=3)
+    args = (codec, Constellation(order), "rayleigh", nt, nr, 0.0, 2.5,
+            n_frames)
+    got, got_next = frames_and_next_draw(codeword_frames, args, n_frames)
+    want, want_next = frames_and_next_draw(sweep_reference, args, n_frames)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got_next, want_next)

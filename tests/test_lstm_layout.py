@@ -12,18 +12,24 @@ curves, weights and optimizer steps must be equal, not merely close.
 import numpy as np
 import pytest
 
+from epturbo import metaopt
+from epturbo.channel import SnrSpec
 from epturbo.epdetect import sigmoid
 from epturbo.metaopt import (
     GRAD_CLIP,
     HIDDEN,
     OUTPUT_SCALE,
     Adam,
+    ChannelStats,
     LstmOptimizerParams,
     QuadraticTask,
     _unrolled_loss_and_grads,
+    apply_optimizer,
+    generate_training_set,
     lstm_step,
     meta_train,
     preprocess_gradient,
+    train_schedule,
     zero_state,
 )
 
@@ -201,9 +207,11 @@ class TestSigmoid:
 
 class TestUnrolledStep:
     @pytest.mark.parametrize("scale", THETA_SCALES)
+    # 101 coordinates are no multiple of a SIMD width, and a horizon of 41
+    # runs past the meta-training one
     @pytest.mark.parametrize("n_tasks,dim,horizon",
                              [(20, 5, 20), (1, 1, 1), (3, 4, 7), (7, 2, 3),
-                              (2, 3, 0)])
+                              (2, 3, 0), (101, 1, 6), (20, 5, 41)])
     def test_recomputed_and_frozen_inputs(self, scale, n_tasks, dim, horizon):
         seed = int(scale * 100) + dim
         theta, tasks, beta0 = _problem(seed, scale, n_tasks, dim)
@@ -271,3 +279,51 @@ class TestLstmStep:
                                                         zero_state(1))
         assert_same_bits(step, ref_step)
         assert_same_weights(state, ref_state)
+
+
+class TestStateBoundary:
+    """`lstm_step` keeps the (n, HIDDEN) state layout of `zero_state`."""
+
+    @pytest.mark.parametrize("n", [1, 6, 101])
+    def test_states_are_n_by_hidden(self, n):
+        theta, _, _ = _problem(8, 1.0, 1, 1)
+        rng = np.random.default_rng(n)
+        state = ref_state = zero_state(n)
+        for _ in range(3):
+            grad = rng.standard_normal(n)
+            step, state = lstm_step(theta, grad, state)
+            ref_step, ref_state, _ = reference_lstm_forward(theta, grad,
+                                                            ref_state)
+            assert set(state) == {"h1", "c1", "h2", "c2"}
+            assert all(v.shape == (n, HIDDEN) for v in state.values())
+            assert_same_bits(step, ref_step)
+            assert_same_weights(state, ref_state)
+
+    @staticmethod
+    def reference_step(theta, grad, state):
+        return reference_lstm_forward(theta, grad, state)[:2]
+
+    def test_apply_optimizer(self, monkeypatch):
+        theta, tasks, _ = _problem(9, 1.0, 1, 7)
+        task = tasks[0]
+        got = apply_optimizer(theta, task.value, task.grad, np.ones(7), 25)
+        monkeypatch.setattr(metaopt, "lstm_step", self.reference_step)
+        ref = apply_optimizer(theta, task.value, task.grad, np.ones(7), 25)
+        for name in ("betas", "losses", "best_beta", "best_loss"):
+            assert_same_bits(getattr(got, name), getattr(ref, name))
+
+    def test_train_schedule(self, monkeypatch):
+        theta, _, _ = _problem(10, 1.0, 1, 1)
+        stats = ChannelStats(nt=2, nr=2, mod_order=4,
+                             snr=SnrSpec("es", 10.0, 4), n_samples=64, seed=3)
+        ds = generate_training_set(stats, np.random.default_rng(11))
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(metaopt, "lstm_step", self.reference_step)
+            sched, curve = train_schedule(theta, ds, layers=3, epochs=6,
+                                          beta_init=[0.5, -1.0, 0.0])
+            runs.append((sched.raw, curve))
+        assert runs[0][1].size == 7
+        for got, ref in zip(*runs):
+            assert_same_bits(got, ref)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from epturbo import metaopt
 from epturbo.channel import SnrSpec
 from epturbo.epdetect import (
     DampingSchedule,
@@ -17,6 +18,7 @@ from epturbo.metaopt import (
     OptimizerRun,
     QuadraticTask,
     _unrolled_loss_and_grads,
+    _workspace_for,
     adam_minimize,
     apply_optimizer,
     epnet_loss_and_grad,
@@ -473,6 +475,113 @@ class TestEpnetLoss:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             generate_training_set(small_stats(n_samples=0))
+
+
+def parent_train_schedule(theta, dataset, layers, epochs, beta_init,
+                          plateau_tol, plateau_window, workspace):
+    """`train_schedule`'s loop as it was, with a gradient at every iterate."""
+    beta = np.broadcast_to(np.asarray(beta_init, dtype=float),
+                           (layers,)).copy()
+    state = zero_state(layers)
+    losses = []
+    ws = workspace
+    loss, grad = epnet_loss_and_grad(beta, dataset, workspace=ws)
+    losses.append(loss)
+    best_beta, best_loss = beta.copy(), loss
+    for _ in range(epochs):
+        step, state = metaopt.lstm_step(theta, grad, state)
+        step[-1] = 0.0
+        beta = beta + step
+        loss, grad = epnet_loss_and_grad(beta, dataset, workspace=ws)
+        losses.append(loss)
+        if np.isfinite(loss) and loss < best_loss:
+            best_beta, best_loss = beta.copy(), loss
+        if not np.isfinite(loss):
+            break
+        if len(losses) > plateau_window:
+            prev = losses[-1 - plateau_window]
+            if prev - losses[-1] < plateau_tol * max(prev, 1e-12):
+                break
+    return DampingSchedule(best_beta), np.asarray(losses)
+
+
+class CountingWorkspace:
+    """An EP workspace that counts its runs.
+
+    A loss evaluation is a recorded run of layers 0..L-2 and a run of
+    the last layer; every other run is a central-difference tail.  With
+    `poison_at` = k, the last-layer run of the k-th loss evaluation
+    returns NaN cavity means, so that loss is not finite.
+    """
+
+    def __init__(self, ws, poison_at=None):
+        self.ws, self.poison_at = ws, poison_at
+        self.runs = self.evaluations = 0
+        self.last_layer_next = False
+
+    def run(self, betas_raw, start_layer=0, pair=None, record=True):
+        self.runs += 1
+        x_ab, v_ab, recs = self.ws.run(betas_raw, start_layer, pair, record)
+        if record:
+            self.evaluations += 1
+            self.last_layer_next = True
+        elif self.last_layer_next:
+            self.last_layer_next = False
+            if self.evaluations == self.poison_at:
+                x_ab = np.full_like(x_ab, np.nan)
+        return x_ab, v_ab, recs
+
+    def tail_runs(self):
+        return self.runs - 2 * self.evaluations
+
+
+class TestTrainScheduleExits:
+    """The last iterate's loss comes without its central differences."""
+
+    LAYERS = 3
+    START = np.array([0.5, -1.0, 0.0])
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_training_set(small_stats(n_samples=64),
+                                     np.random.default_rng(23))
+
+    def run_both(self, theta, ds, epochs, plateau_tol=1e-4, plateau_window=10,
+                 poison_at=None):
+        runs = []
+        for fn in (train_schedule, parent_train_schedule):
+            ws = CountingWorkspace(
+                _workspace_for(ds, self.LAYERS, EpConfig().min_var), poison_at)
+            sched, curve = fn(theta, ds, self.LAYERS, epochs,
+                              beta_init=self.START, plateau_tol=plateau_tol,
+                              plateau_window=plateau_window, workspace=ws)
+            runs.append((sched.raw, curve, ws))
+        (raw, curve, ws), (ref_raw, ref_curve, ref_ws) = runs
+        assert np.array_equal(raw.view(np.uint64), ref_raw.view(np.uint64))
+        assert np.array_equal(curve.view(np.uint64), ref_curve.view(np.uint64))
+        assert ws.evaluations == ref_ws.evaluations == curve.size
+        steps = curve.size - 1
+        tails = 2 * (self.LAYERS - 1)
+        assert ws.tail_runs() == tails * steps
+        assert ref_ws.tail_runs() == tails * (steps + 1)
+        return curve
+
+    def test_epoch_cap(self, quick_theta, dataset):
+        assert self.run_both(quick_theta, dataset, epochs=5).size == 6
+
+    def test_zero_epochs(self, quick_theta, dataset):
+        assert self.run_both(quick_theta, dataset, epochs=0).size == 1
+
+    def test_plateau(self, quick_theta, dataset):
+        # a tolerance of 1 stops as soon as the window is full
+        curve = self.run_both(quick_theta, dataset, epochs=20, plateau_tol=1.0,
+                              plateau_window=3)
+        assert curve.size == 4
+
+    def test_nonfinite_loss(self, quick_theta, dataset):
+        curve = self.run_both(quick_theta, dataset, epochs=20, poison_at=3)
+        assert curve.size == 3
+        assert np.isnan(curve[-1]) and np.isfinite(curve[:-1]).all()
 
 
 class TestOnlineTrain:
