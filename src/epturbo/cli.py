@@ -14,17 +14,8 @@ import sys
 import numpy as np
 
 from .epdetect import load_damping_table, save_damping_table, sigmoid
-from .harness import ExperimentConfig, run_sweep, write_records
-from .metaopt import (
-    ChannelStats,
-    LstmOptimizerParams,
-    meta_train_recipe,
-    online_train,
-)
-from .channel import SnrSpec
-from .epdetect import EpConfig, JddReceiver
-from .modem import Constellation
-from .turbocode import TurboCodec
+from .harness import ExperimentConfig, _receiver, run_sweep, write_records
+from .metaopt import LstmOptimizerParams, meta_train_recipe
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,11 +76,11 @@ def _experiment_from_doc(doc, seed=None, workers=None):
             min_bit_errors=int(stopping.get("min_bit_errors", 200)),
             max_bits=int(stopping.get("max_bits", 10_000_000)),
             master_seed=int(doc.get("seed", 1) if seed is None else seed),
-            workers=int(workers or 1),
+            workers=1 if workers is None else int(workers),
         )
         config.validate()
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep configuration: {exc}") from exc
+        raise ConfigError(f"invalid configuration: {exc}") from exc
     return config
 
 
@@ -129,57 +120,30 @@ def cmd_meta_train(args):
 
 
 def cmd_online_train(args):
+    """Train the damping schedules that a `"damping": {"source":
+    "trained"}` sweep trains at the document's one SNR point: the `jdd`
+    variant with `message_len`, `epnet` (starting from `damping.value`)
+    without it."""
     theta = LstmOptimizerParams.from_doc(_load_json(args.theta))
     doc = _load_json(args.config)
     _require_schema(doc, args.config)
-    system = doc.get("system", {})
-    snr = doc.get("snr", {})
-    channel = doc.get("channel", {})
-    training = doc.get("training", {})
-    try:
-        # --seed overrides the document's seed for the code's interleaver
-        # and the dataset alike, as `sweep --seed` does
-        seed = int(doc.get("seed", 1) if args.seed is None else args.seed)
-        mod_order = int(system["mod_order"])
-        message_len = system.get("message_len")
-        codec = None
-        code_rate = 1.0
-        stages = int(system.get("jdd_stages", 1))
-        if message_len is not None:
-            codec = TurboCodec(k=int(message_len),
-                               decoder=system.get("decoder", "max-log"),
-                               n_iter=int(system.get("decoder_iters", 5)),
-                               seed=seed)
-            code_rate = codec.rate
-        elif stages != 1:
-            raise ConfigError("multi-stage training requires message_len")
-        spec = SnrSpec(snr.get("mode", "eb-uncoded"), float(snr["value_db"]),
-                       mod_order, code_rate=code_rate)
-        stats = ChannelStats(
-            nt=int(system["nt"]), nr=int(system["nr"]), mod_order=mod_order,
-            snr=spec, kind=channel.get("kind", "rayleigh"),
-            rho=float(channel.get("rho", 0.0)),
-            n_samples=int(training.get("samples", 5000)),
-            seed=seed,
-        )
-        if stats.n_samples < 1:
-            raise ConfigError("channel statistics dataset is empty")
-        layers = int(system.get("ep_layers", 5))
-        receiver = JddReceiver(
-            codec=codec, constellation=Constellation(mod_order),
-            schedules=np.ones((stages, layers)),
-            config=EpConfig(layers=layers),
-            decoder_iters=int(system.get("decoder_iters", 5)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid training configuration: {exc}") from exc
-
-    trained, curves = online_train(
-        receiver, stats, theta,
-        epochs=int(training.get("epochs", 100)),
-        rng=np.random.default_rng(stats.seed),
-    )
-    save_damping_table(args.out, sigmoid(trained.schedules))
+    system = dict(doc.get("system", {}))
+    system.setdefault("jdd_stages", 1)
+    coded = system.get("message_len") is not None
+    if not coded and int(system["jdd_stages"]) != 1:
+        raise ConfigError("multi-stage training requires message_len")
+    snr = dict(doc.get("snr", {}))
+    snr["grid_db"] = [snr["value_db"]]
+    damping = dict(doc.get("damping", {}), source="trained")
+    # --seed overrides the document's seed for the code's interleaver
+    # and the dataset alike, as `sweep --seed` does
+    config = _experiment_from_doc(
+        dict(doc, system=system, snr=snr, damping=damping,
+             variants=["jdd" if coded else "epnet"]), seed=args.seed)
+    codec = config.make_codec() if coded else None
+    receiver, curves = _receiver(config, 0, config.snr_grid_db[0], theta,
+                                 codec)
+    save_damping_table(args.out, sigmoid(receiver.schedules))
     for i, curve in enumerate(curves):
         print(f"stage {i + 1}: loss {curve[0]:.4f} -> {curve[-1]:.4f} "
               f"({curve.size - 1} epochs)")

@@ -592,8 +592,17 @@ def damping_table_from_doc(doc):
         raise ValueError("unsupported damping table schema")
     stages, layers = int(doc["stages"]), int(doc["layers"])
     eff = np.full((stages, layers), np.nan)
+    seen = set()
     for e in doc["entries"]:
-        eff[e["stage"] - 1, e["layer"] - 1] = e["damping"]
+        i, l = e["stage"] - 1, e["layer"] - 1
+        if not (i in range(stages) and l in range(layers)):
+            raise ValueError(f"damping table entry {e} lies outside "
+                             f"{stages} stage(s) x {layers} layer(s)")
+        if (i, l) in seen:
+            raise ValueError(f"damping table entry {e} repeats its "
+                             "stage and layer")
+        seen.add((i, l))
+        eff[int(i), int(l)] = e["damping"]
     if np.any(np.isnan(eff)):
         raise ValueError("damping table is missing entries")
     if np.any((eff <= 0) | (eff >= 1)):

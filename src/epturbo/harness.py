@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("minimum bit errors per reported point is 100")
         if self.max_bits < 1:
             raise ValueError("max_bits must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         for v in self.variants:
             if v not in KNOWN_VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
@@ -237,7 +239,8 @@ def _receiver(config, snr_idx, snr_db, theta, codec=None):
     schedules (EPNet reads its first row); trained damping runs
     `online_train` on data drawn from the channel statistics, starting
     from the fixed-EP damping for EPNet and from raw 1.0 (effective 0.73)
-    for JDD.
+    for JDD.  Returns (receiver, loss curves): one curve per trained
+    stage, none for fixed or table damping.
     """
     stages = 1 if codec is None else config.jdd_stages
     sched = np.tile(_fixed_schedule(config), (stages, 1))
@@ -254,7 +257,7 @@ def _receiver(config, snr_idx, snr_db, theta, codec=None):
         schedules=sched, decoder_iters=config.decoder_iters,
         config=EpConfig(layers=config.ep_layers, min_var=config.ep_min_var))
     if config.damping_source in ("fixed", "table"):
-        return receiver
+        return receiver, []
     if theta is None:
         raise ValueError("trained damping source requires optimizer weights")
     seed = np.random.SeedSequence(config.master_seed, spawn_key=(snr_idx, 1 << 30))
@@ -262,11 +265,11 @@ def _receiver(config, snr_idx, snr_db, theta, codec=None):
         nt=config.nt, nr=config.nr, mod_order=config.mod_order,
         snr=config.snr_spec(snr_db), kind=config.channel_kind, rho=config.rho,
         n_samples=config.train_samples, seed=seed.generate_state(1)[0])
-    return online_train(receiver, stats, theta, epochs=config.train_epochs)[0]
+    return online_train(receiver, stats, theta, epochs=config.train_epochs)
 
 
 def _jdd_receiver(config, snr_idx, snr_db, theta):
-    return _receiver(config, snr_idx, snr_db, theta, config.make_codec())
+    return _receiver(config, snr_idx, snr_db, theta, config.make_codec())[0]
 
 
 def _build_variant(config, name, snr_idx, snr_db, theta):
@@ -275,8 +278,8 @@ def _build_variant(config, name, snr_idx, snr_db, theta):
     if name == "ep":
         return _UncodedDetector("ep", _fixed_schedule(config))
     if name == "epnet":
-        return _UncodedDetector(
-            "epnet", _receiver(config, snr_idx, snr_db, theta).schedules[0])
+        receiver, _ = _receiver(config, snr_idx, snr_db, theta)
+        return _UncodedDetector("epnet", receiver.schedules[0])
     if name == "ml":
         return _UncodedDetector("ml")
     if name == "jdd":

@@ -441,6 +441,28 @@ class OptimizerRun:
     best_loss: float
 
 
+def _descend(loss_fn, grad_fn, beta_init, n_steps, step_rule):
+    """Run `step_rule(beta, grad) -> next beta` for `n_steps` epochs.
+
+    A non-finite loss stops the run early; the best iterate seen so far
+    is always reported.
+    """
+    beta = np.atleast_1d(np.asarray(beta_init, dtype=float)).copy()
+    betas = [beta.copy()]
+    losses = [float(loss_fn(beta))]
+    best_beta, best_loss = beta.copy(), losses[0]
+    for _ in range(n_steps):
+        beta = step_rule(beta, np.asarray(grad_fn(beta), dtype=float))
+        val = float(loss_fn(beta))
+        betas.append(beta.copy())
+        losses.append(val)
+        if not np.isfinite(val):
+            break
+        if val < best_loss:
+            best_beta, best_loss = beta.copy(), val
+    return OptimizerRun(np.stack(betas), np.asarray(losses), best_beta, best_loss)
+
+
 def apply_optimizer(theta, loss_fn, grad_fn, beta_init, n_steps):
     """Drive an arbitrary objective with the trained LSTM optimizer.
 
@@ -448,45 +470,26 @@ def apply_optimizer(theta, loss_fn, grad_fn, beta_init, n_steps):
     states.  A non-finite loss stops the run early; the best iterate seen
     so far is always reported.
     """
-    beta = np.atleast_1d(np.asarray(beta_init, dtype=float)).copy()
-    state = zero_state(beta.size)
-    betas = [beta.copy()]
-    losses = [float(loss_fn(beta))]
-    best_beta, best_loss = beta.copy(), losses[0]
-    for _ in range(n_steps):
-        grad = np.asarray(grad_fn(beta), dtype=float)
+    state = zero_state(np.size(beta_init))
+
+    def lstm_rule(beta, grad):
+        nonlocal state
         step, state = lstm_step(theta, grad, state)
-        beta = beta + step
-        val = float(loss_fn(beta))
-        betas.append(beta.copy())
-        losses.append(val)
-        if not np.isfinite(val):
-            break
-        if val < best_loss:
-            best_beta, best_loss = beta.copy(), val
-    return OptimizerRun(np.stack(betas), np.asarray(losses), best_beta, best_loss)
+        return beta + step
+
+    return _descend(loss_fn, grad_fn, beta_init, n_steps, lstm_rule)
 
 
 def adam_minimize(loss_fn, grad_fn, beta_init, n_steps, lr=0.1):
     """Baseline: Adam on the same objective, one step per epoch."""
-    beta = np.atleast_1d(np.asarray(beta_init, dtype=float)).copy()
     adam = Adam(lr=lr)
-    betas = [beta.copy()]
-    losses = [float(loss_fn(beta))]
-    best_beta, best_loss = beta.copy(), losses[0]
-    for _ in range(n_steps):
-        grads = {"beta": np.asarray(grad_fn(beta), dtype=float)}
+
+    def adam_rule(beta, grad):
         params = {"beta": beta}
-        adam.step(params, grads)
-        beta = params["beta"]
-        val = float(loss_fn(beta))
-        betas.append(beta.copy())
-        losses.append(val)
-        if not np.isfinite(val):
-            break
-        if val < best_loss:
-            best_beta, best_loss = beta.copy(), val
-    return OptimizerRun(np.stack(betas), np.asarray(losses), best_beta, best_loss)
+        adam.step(params, {"beta": grad})
+        return params["beta"]
+
+    return _descend(loss_fn, grad_fn, beta_init, n_steps, adam_rule)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from epturbo.cli import main
+from epturbo.cli import _experiment_from_doc, main
 from epturbo.epdetect import load_damping_table, sigmoid
+from epturbo.harness import _build_variant, _jdd_receiver, _receiver
 from epturbo.metaopt import LstmOptimizerParams, meta_train
 
 
@@ -82,6 +83,15 @@ class TestSweepCommand:
         cfg = write_json(tmp_path / "c.json", doc)
         assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown damping source 'Fixed'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        cfg = write_json(tmp_path / "cfg.json", sweep_config())
+        rc = main(["sweep", cfg, "--out", str(tmp_path / "o"),
+                   "--workers", workers])
+        assert rc == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_trained_source_requires_theta(self, tmp_path):
@@ -164,6 +174,17 @@ class TestOnlineTrainCommand:
         assert rc == 2
         assert "unknown channel kind" in capsys.readouterr().err
 
+    def test_multi_stage_without_message_len_exits_2(self, tmp_path,
+                                                     theta_file, capsys):
+        doc = self.train_config()
+        doc["system"]["jdd_stages"] = 2
+        cfg = write_json(tmp_path / "train.json", doc)
+        rc = main(["online-train", "--theta", theta_file, "--config", cfg,
+                   "--out", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert "requires message_len" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
     def test_seed_flag_seeds_interleaver_and_data(self, tmp_path, theta_file):
         # K = 50 has no published QPP coefficients, so the interleaver is a
         # permutation drawn from the seed: --seed 5 over a document seed of
@@ -188,8 +209,11 @@ class TestOnlineTrainCommand:
         assert np.array_equal(table(1, ["--seed", "5"]), table(5, []))
 
     def test_loaded_table_changes_sweep_output(self, tmp_path, theta_file):
-        # train a table, then run paired sweeps with fixed vs table damping
-        cfg = write_json(tmp_path / "train.json", self.train_config())
+        # train a table, then run paired sweeps with fixed vs table damping;
+        # training starts away from the fixed 0.1, which its best iterate
+        # would otherwise keep on this short run
+        doc = self.train_config(damping={"value": 0.5})
+        cfg = write_json(tmp_path / "train.json", doc)
         table = tmp_path / "table.json"
         assert main(["online-train", "--theta", theta_file, "--config", cfg,
                      "--out", str(table)]) == 0
@@ -209,6 +233,78 @@ class TestOnlineTrainCommand:
         assert r1.split(",")[3] != r2.split(",")[3]
 
 
+class TestOnlineTrainIsTheTrainedSweep:
+    """`online-train` writes the schedules that a sweep with trained
+    damping trains at the first point of its grid."""
+
+    DOCS = {
+        "uncoded": {
+            "system": {"nt": 2, "nr": 2, "mod_order": 16, "ep_layers": 3},
+            "damping": {"value": 0.3},
+        },
+        "jdd": {
+            "system": {"nt": 2, "nr": 2, "mod_order": 16, "ep_layers": 3,
+                       "message_len": 40, "decoder_iters": 2,
+                       "jdd_stages": 2},
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def theta_file(self, shipped_theta, tmp_path_factory):
+        # the shipped optimizer moves these schedules off their start in a
+        # few epochs; the 50-epoch one keeps the start as its best iterate
+        path = tmp_path_factory.mktemp("shipped") / "theta.json"
+        shipped_theta.save(path)
+        return str(path)
+
+    @pytest.fixture(params=sorted(DOCS))
+    def point(self, request, tmp_path, theta_file, capsys):
+        """Run online-train on one document; returns the written effective
+        table, the printed lines and the sweep config of the same point."""
+        doc = dict(self.DOCS[request.param], schema=1, seed=6,
+                   channel={"kind": "rayleigh"},
+                   snr={"mode": "es", "value_db": 12.0},
+                   training={"samples": 96, "epochs": 5})
+        out = tmp_path / "table.json"
+        assert main(["online-train", "--theta", theta_file, "--config",
+                     write_json(tmp_path / "train.json", doc),
+                     "--out", str(out)]) == 0
+        table = json.loads(out.read_text())
+        eff = np.empty((table["stages"], table["layers"]))
+        for e in table["entries"]:
+            eff[e["stage"] - 1, e["layer"] - 1] = e["damping"]
+        sweep = dict(doc, snr={"mode": "es", "grid_db": [12.0, 16.0]},
+                     variants=["jdd" if request.param == "jdd" else "epnet"],
+                     damping=dict(doc.get("damping", {}), source="trained"))
+        config = _experiment_from_doc(sweep)
+        lines = capsys.readouterr().out.splitlines()
+        return request.param, eff, lines, config
+
+    def test_table_is_the_sweep_schedule(self, point, theta_file):
+        kind, eff, _, config = point
+        theta = LstmOptimizerParams.load(theta_file)
+        if kind == "jdd":
+            raw = _jdd_receiver(config, 0, 12.0, theta).schedules
+        else:
+            raw = _build_variant(config, "epnet", 0, 12.0,
+                                 theta).schedule_raw[None, :]
+        assert np.array_equal(eff, sigmoid(raw))
+        # training moved the schedule off its start
+        start = sigmoid(1.0) if kind == "jdd" else 0.3
+        assert not np.allclose(eff[:, :-1], start)
+
+    def test_prints_each_stage_curve(self, point, theta_file):
+        kind, _, lines, config = point
+        codec = config.make_codec() if kind == "jdd" else None
+        _, curves = _receiver(config, 0, 12.0,
+                              LstmOptimizerParams.load(theta_file), codec)
+        assert len(curves) == (2 if kind == "jdd" else 1)
+        assert lines[:-1] == [
+            f"stage {i + 1}: loss {c[0]:.4f} -> {c[-1]:.4f} "
+            f"({c.size - 1} epochs)" for i, c in enumerate(curves)]
+        assert lines[-1].startswith("wrote ")
+
+
 class TestShowTable:
     def test_prints_table(self, tmp_path, capsys):
         from epturbo.epdetect import save_damping_table
@@ -220,6 +316,15 @@ class TestShowTable:
         out = capsys.readouterr().out
         assert "2 stage(s) x 2 layer(s)" in out
         assert "0.9000" in out
+
+    def test_entry_outside_the_table_exits_2(self, tmp_path, capsys):
+        from epturbo.epdetect import damping_table_to_doc
+
+        doc = damping_table_to_doc(np.array([[0.2, 0.3]]))
+        doc["entries"].append({"stage": 1, "layer": 5, "damping": 0.9})
+        path = write_json(tmp_path / "table.json", doc)
+        assert main(["show-table", path]) == 2
+        assert "lies outside" in capsys.readouterr().err
 
     def test_missing_table(self, tmp_path, capsys):
         rc = main(["show-table", str(tmp_path / "none.json")])

@@ -545,6 +545,26 @@ class TestDampingTable:
         with pytest.raises(ValueError):
             damping_table_from_doc(doc)
 
+    @pytest.mark.parametrize("stage,layer", [(0, 0), (1, 0), (0, 1),
+                                             (2, 1), (1, 3), (1, 1.5)])
+    def test_rejects_entry_outside_the_table(self, stage, layer):
+        # index 0 would land on the last row or column, and an index past
+        # the declared size or a fractional one would raise IndexError
+        doc = damping_table_to_doc(np.array([[0.2, 0.3]]))
+        bad = {"stage": stage, "layer": layer, "damping": 0.9}
+        doc["entries"].append(bad)
+        with pytest.raises(ValueError, match="outside 1 stage") as exc:
+            damping_table_from_doc(doc)
+        assert str(bad) in str(exc.value)
+
+    def test_rejects_repeated_entry(self):
+        doc = damping_table_to_doc(np.array([[0.2, 0.3]]))
+        again = {"stage": 1, "layer": 2, "damping": 0.9}
+        doc["entries"].append(again)
+        with pytest.raises(ValueError, match="repeats") as exc:
+            damping_table_from_doc(doc)
+        assert str(again) in str(exc.value)
+
 
 class TestJdd:
     @staticmethod

@@ -5,6 +5,7 @@ from epturbo.harness import (
     BerRecord,
     ExperimentConfig,
     OracleConfig,
+    _receiver,
     binomial_ci,
     compare_oracle,
     read_records,
@@ -173,6 +174,36 @@ class TestSweep:
                            damping_table=np.zeros((2, 3)))
         with pytest.raises(ValueError, match="damping table shape"):
             run_sweep(cfg)
+
+
+class TestReceiver:
+    """`_receiver` returns (receiver, loss curves): a curve per trained
+    stage, none when the damping is given."""
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_given_damping_has_no_curves(self, coded):
+        stages = 2 if coded else 1
+        for over in (dict(damping_source="fixed"),
+                     dict(damping_source="table",
+                          damping_table=np.full((stages, 3), 0.4))):
+            cfg = small_config(ep_layers=3, message_len=40, jdd_stages=2,
+                               **over)
+            rx, curves = _receiver(cfg, 0, 4.0, None,
+                                   cfg.make_codec() if coded else None)
+            assert rx.schedules.shape == (stages, 3)
+            assert curves == []
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_trained_damping_has_one_curve_per_stage(self, coded,
+                                                     shipped_theta):
+        cfg = small_config(ep_layers=3, message_len=40, jdd_stages=2,
+                           damping_source="trained", train_samples=32,
+                           train_epochs=3)
+        rx, curves = _receiver(cfg, 0, 4.0, shipped_theta,
+                               cfg.make_codec() if coded else None)
+        assert len(curves) == rx.n_stages == (2 if coded else 1)
+        for curve in curves:
+            assert curve.ndim == 1 and 2 <= curve.size <= 4
 
 
 class TestCalibration:
