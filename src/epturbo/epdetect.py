@@ -725,8 +725,11 @@ def jdd_stage(ws, schedule, receiver, feedback=None):
     EP runs `schedule` on the priors `ws.probs` from the workspace's
     initial pair.  `feedback`, the previous stage's decoder extrinsic
     LLRs (B, V), replaces both by `stage_feedback`'s.  The frames' LLRs,
-    filler dropped, go to the decoder.  Returns its (bits (B, K),
-    extrinsic LLRs (B, V)); `ws.probs` is None afterwards.
+    filler dropped, go to the decoder in float32, so it decodes in
+    float32 (within the tolerance `tests/test_decoder_float32.py`
+    declares against float64); EP and the demapper stay float64.
+    Returns the decoder's (bits (B, K), float32 extrinsic LLRs (B, V));
+    `ws.probs` is None afterwards.
     """
     c = receiver.constellation
     nt = ws.n_dims // 2
@@ -736,7 +739,8 @@ def jdd_stage(ws, schedule, receiver, feedback=None):
     x_ab, v_ab, _ = ws.run(schedule, pair=pair, record=False)
     llr = demap_llr(x_ab, v_ab, ws.probs, c)  # (B*P, nt, Q)
     n_frames = ws.batch // frame_geometry(receiver.codec, c, nt)[1]
-    llr_frame = llr.reshape(n_frames, -1)[:, : receiver.codec.n_coded]
+    llr_frame = llr.reshape(n_frames, -1)[:, : receiver.codec.n_coded].astype(
+        np.float32)
     # the decoder runs at the chunk's peak memory; through it the EP
     # layer holds only H^T H and H^T y
     del x_ab, v_ab, pair

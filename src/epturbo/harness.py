@@ -78,6 +78,12 @@ class ExperimentConfig:
             raise ValueError("max_bits must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        for name in ("nt", "nr", "ep_layers", "jdd_stages", "decoder_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0 < self.fixed_damping < 1:
+            raise ValueError(
+                f"damping value {self.fixed_damping} lies outside (0, 1)")
         for v in self.variants:
             if v not in KNOWN_VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")

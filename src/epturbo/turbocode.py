@@ -194,13 +194,20 @@ def encode(msg, codec):
     return (msg @ codec.generator).astype(np.int64) & 1
 
 
+def _working_dtype(x):
+    """The decoder's arithmetic dtype for input `x`: float32 for float32
+    input, float64 for anything else."""
+    return np.float32 if np.asarray(x).dtype == np.float32 else np.float64
+
+
 def _split_codeword_llrs(llrs, codec):
     """Depuncture channel LLRs into per-constituent (sys, par) arrays with tails.
 
-    Accepts (V,) or (B, V); returns arrays with trailing length K + 3.
-    Punctured parity positions become erasures (0).
+    Accepts (V,) or (B, V); returns arrays with trailing length K + 3, in
+    the working dtype of `llrs`.  Punctured parity positions become
+    erasures (0).
     """
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
+    llrs = np.atleast_2d(np.asarray(llrs, dtype=_working_dtype(llrs)))
     k = codec.k
     if llrs.shape[-1] != codec.n_coded:
         raise ValueError(f"expected {codec.n_coded} channel LLRs")
@@ -222,14 +229,15 @@ def _split_codeword_llrs(llrs, codec):
 
 
 # Steps per block of the posterior evaluation in `_bcjr_batch`.  Each
-# block's transition metrics are (block, 16, B) floats, 384 kB at B = 512,
-# and one gathered operand of the same size is live beside them.  The
-# decoder runs at the JDD chunk's peak memory, so the block is sized to
-# add nothing to it: the peak traced allocation of one 4-iteration
-# decode of 512 K = 64 frames is 11.01 MiB with blocks of 6 and 11.29
-# with 8, against 11.06 for the former (8, 8, B) pairs.  One call with
-# bit posteriors took the same time with blocks of 4, 6 and 8, and 1.5-2
-# times as long with 16 or 32 (30 alternating repeats, 2-vCPU VM).
+# block's transition metrics are (block, 16, B) floats, 384 kB in float64
+# at B = 512, and one gathered operand of the same size is live beside
+# them.  The decoder runs at the JDD chunk's peak memory, so the block is
+# sized to add nothing to it: the peak traced allocation of one
+# 4-iteration float64 decode of 512 K = 64 frames is 11.01 MiB with
+# blocks of 6 and 11.29 with 8, against 11.06 for the former (8, 8, B)
+# pairs.  One call with bit posteriors took the same time with blocks of
+# 4, 6 and 8, and 1.5-2 times as long with 16 or 32 (30 alternating
+# repeats, 2-vCPU VM).
 POSTERIOR_BLOCK = 6
 
 
@@ -252,7 +260,7 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     with u = 0 and u = 1, each summed as (alpha + gamma) + beta, then
     folded over the states in ascending order, one reduction for both
     bit values.  Every output is bit-identical to a per-step evaluation in
-    (B, 8, 2) layout.
+    (B, 8, 2) layout.  Every array is in the working dtype of `sys_llr`.
     """
     if algo == "log":
         star, star_reduce = maxstar, maxstar_reduce
@@ -261,9 +269,10 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     else:
         raise ValueError(f"unknown BCJR algorithm {algo!r}")
 
-    sys_llr = np.asarray(sys_llr, dtype=float)
-    par_llr = np.asarray(par_llr, dtype=float)
-    apriori = np.asarray(apriori, dtype=float)
+    dtype = _working_dtype(sys_llr)
+    sys_llr = np.asarray(sys_llr, dtype=dtype)
+    par_llr = np.asarray(par_llr, dtype=dtype)
+    apriori = np.asarray(apriori, dtype=dtype)
     b, n = sys_llr.shape
     k = apriori.shape[1]
     if par_llr.shape != (b, n) or n != k + 3:
@@ -272,10 +281,10 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     code = 2 * np.arange(2) + tr.parity  # (8, 2): code of transition (s, u)
 
     # branch metric of code 2u + p: (+-half_sys) + (+-half_par), sign - for 1
-    la_full = np.concatenate([apriori, np.zeros((b, 3))], axis=1)
+    la_full = np.concatenate([apriori, np.zeros((b, 3), dtype)], axis=1)
     half_sys = (0.5 * (sys_llr + la_full)).T
     half_par = (0.5 * par_llr).T
-    gamma = np.empty((n, 4, b))
+    gamma = np.empty((n, 4, b), dtype)
     np.add(half_sys, half_par, out=gamma[:, 0])
     np.subtract(half_sys, half_par, out=gamma[:, 1])
     np.add(-half_sys, half_par, out=gamma[:, 2])
@@ -293,16 +302,18 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     gamma_idx = np.concatenate(
         [fwd + pcode[:, 0], bwd + code[:, 0], fwd + pcode[:, 1], bwd + code[:, 1]],
         axis=1)  # (n, 32)
-    # One allocation for both recursions, 4.5 MB at B = 512, K = 64.
-    # Freeing it raises glibc's dynamic mmap threshold, and the heap trim
-    # threshold with it, to that size, so the EP arrays of later work in the
-    # same process stay on a heap that is not trimmed after every layer.
-    # With two 2.2 MB arrays, the EP and online-training figures of the
-    # benchmark's sweep-jdd runs were 2-5% slower than with the
-    # (B, K+3, 8, 2) decoder (1-2 wins in 10 pairs); with one, they are not.
+    # One allocation for both recursions: at B = 512, K = 64, 4.5 MB in
+    # float64 and 2.2 MB in float32.  Freeing it raises glibc's dynamic
+    # mmap threshold to that size and the heap trim threshold to twice it,
+    # so the EP arrays of later work in the same process stay on the heap.
+    # Two 2.2 MB float64 arrays made the EP and online-training figures of
+    # the benchmark's sweep-jdd runs 2-5% slower than one 4.5 MB array.
+    # The one 2.2 MB float32 array moved them by -1.3% and 0.0% there and
+    # train's online_epoch_ms by +6.3% (medians of 10 pairs), while traced
+    # sweep-jdd rounds took 103-105k minor faults against 73-74k.
     # Steps write rows 1..n in full before reading them, so only row 0,
     # the known start states of alpha and beta, is initialised.
-    sweep = np.empty((n + 1, 16, b))
+    sweep = np.empty((n + 1, 16, b), dtype)
     sweep[0] = NEG_INF
     sweep[0, 0] = sweep[0, 8] = 0.0
     for j in range(n):
@@ -327,8 +338,8 @@ def _bcjr_batch(sys_llr, par_llr, apriori, trellis, algo, want_bit_posteriors=Fa
     by_parity = (8 * (tr.parity[:, 0] ^ np.arange(2)[:, None])
                  + np.arange(8)).ravel()
     # the message posteriors are the first K systematic posteriors
-    sys_post = np.empty((steps, b))
-    par_post = np.empty((n, b)) if want_bit_posteriors else None
+    sys_post = np.empty((steps, b), dtype)
+    par_post = np.empty((n, b), dtype) if want_bit_posteriors else None
     for lo in range(0, steps, POSTERIOR_BLOCK):
         hi = min(lo + POSTERIOR_BLOCK, steps)
         full = sweep_rows.take(alpha_idx[lo:hi].ravel(), axis=0)
@@ -367,23 +378,29 @@ def bcjr(sys_llr, par_llr, apriori_llr, trellis, algo):
 
 
 def _decode_batch(ch_llrs, codec, n_iter=None, weights=None, want_feedback=False):
-    """Iterative turbo decode over (B, V) channel LLRs."""
+    """Iterative turbo decode over (B, V) channel LLRs.
+
+    Computes in the working dtype of `ch_llrs` (`_working_dtype`), and
+    returns posteriors and extrinsics in it: float32 LLRs decode in
+    float32, any other input in float64.
+    """
     n_iter = codec.n_iter if n_iter is None else n_iter
     if n_iter < 1:
         raise ValueError("need at least one turbo iteration")
     algo = "log" if codec.decoder == "log" else "max-log"
     if weights is None and codec.decoder == "scaled-max-log":
         weights = codec.weights or ScaledDecoderWeights.initial(n_iter)
+
+    sys1, p1, sys2, p2 = _split_codeword_llrs(ch_llrs, codec)
+    dtype = sys1.dtype
     if weights is not None:
-        wv = weights.values
+        # a float64 weight would promote a float32 decode to float64
+        wv = weights.values.astype(dtype)
         if wv.shape[0] < n_iter:
             raise ValueError("need one weight pair per turbo iteration")
 
-    sys1, p1, sys2, p2 = _split_codeword_llrs(ch_llrs, codec)
     b, k = sys1.shape[0], codec.k
-    la1 = np.zeros((b, k))
-    le1 = np.zeros((b, k))
-    le2 = np.zeros((b, k))
+    la1 = np.zeros((b, k), dtype)
     for it in range(n_iter):
         last = it == n_iter - 1
         res1 = _bcjr_batch(sys1, p1, la1, codec.trellis, algo,
@@ -407,7 +424,7 @@ def _decode_batch(ch_llrs, codec, n_iter=None, weights=None, want_feedback=False
     # extrinsic LLRs for every transmitted codeword position
     _, _, s1_post, p1_post = res1
     _, _, s2_post, p2_post = res2
-    ext = np.empty((b, codec.n_coded))
+    ext = np.empty((b, codec.n_coded), dtype)
     ext[:, :k] = le1 + la1
     odd = np.arange(k) % 2 == 1
     ext[:, k : 2 * k] = np.where(odd, p1_post[:, :k] - p1[:, :k],

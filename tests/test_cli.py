@@ -94,6 +94,27 @@ class TestSweepCommand:
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field", ["nt", "nr", "ep_layers", "jdd_stages",
+                                       "decoder_iters"])
+    def test_size_below_one_exits_2_and_names_field(self, tmp_path, capsys,
+                                                    field):
+        doc = sweep_config(variants=["jdd"])
+        doc["system"].update(message_len=40, decoder_iters=2, jdd_stages=2)
+        doc["system"][field] = 0
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"{field} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, 0.0, -2.0])
+    def test_damping_value_outside_unit_interval_exits_2(self, tmp_path,
+                                                         capsys, value):
+        doc = sweep_config(damping={"source": "fixed", "value": value})
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["sweep", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "outside (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_trained_source_requires_theta(self, tmp_path):
         doc = sweep_config(damping={"source": "trained"})
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -173,6 +194,17 @@ class TestOnlineTrainCommand:
                    "--out", str(tmp_path / "t.json")])
         assert rc == 2
         assert "unknown channel kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1.5, 0.0])
+    def test_damping_value_outside_unit_interval_exits_2(
+            self, tmp_path, theta_file, capsys, value):
+        cfg = write_json(tmp_path / "train.json",
+                         self.train_config(damping={"value": value}))
+        rc = main(["online-train", "--theta", theta_file, "--config", cfg,
+                   "--out", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert "outside (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
     def test_multi_stage_without_message_len_exits_2(self, tmp_path,
                                                      theta_file, capsys):

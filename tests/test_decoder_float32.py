@@ -14,6 +14,10 @@ The LLRs are real JDD inputs: 4x4 16-QAM frames through fixed-damping
 EP and the demapper, for the first stage and for the second stage fed
 back by the float64 decoder, at K = 40 and 64 and at 8, 10 and 12 dB
 (E_B/N0, uncoded-referenced, as the benchmark's sweep-jdd points).
+
+The dtype-flow tests pin where float32 enters: `jdd_stage` hands the
+decoder float32 LLRs, and the decoder keeps float32 end to end,
+including the scaled-max-log weights.
 """
 
 from functools import lru_cache
@@ -21,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from epturbo import epdetect
 from epturbo.channel import REAL_NOISE_VAR, SnrSpec, snr_scale
 from epturbo.epdetect import (
     DampingSchedule,
@@ -29,10 +34,11 @@ from epturbo.epdetect import (
     JddReceiver,
     codeword_frames,
     frame_geometry,
+    jdd_receive_batch,
     stage_feedback,
 )
 from epturbo.modem import Constellation, demap_llr
-from epturbo.turbocode import TurboCodec, _decode_batch
+from epturbo.turbocode import ScaledDecoderWeights, TurboCodec, _decode_batch
 
 POST_RTOL = 1e-2  # |L32 - L64| <= POST_RTOL (1 + |L64|)
 SIGN_FLOOR = 1e-2  # hard decisions must agree where |L64| >= SIGN_FLOOR
@@ -103,3 +109,51 @@ def test_float32_decode_within_declared_tolerance(decoder, k, snr_db):
     assert_within_tolerance(ext32, ext64)
     sure = np.abs(post64) >= SIGN_FLOOR
     assert np.array_equal(bits32[sure], bits64[sure])
+
+
+@pytest.mark.parametrize("decoder", ["max-log", "scaled-max-log", "log"])
+def test_float32_llrs_decode_to_float32_outputs(decoder):
+    llrs = jdd_llrs(40, 10)[:16].astype(np.float32)
+    codec = TurboCodec(k=40, decoder=decoder, n_iter=2)
+    _, post, ext = _decode_batch(llrs, codec, want_feedback=True)
+    assert post.dtype == np.float32
+    assert ext.dtype == np.float32
+    _, post, ext = _decode_batch(llrs.astype(np.float64), codec,
+                                 want_feedback=True)
+    assert post.dtype == ext.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scaled_with_unit_weights_is_max_log_in_input_dtype(dtype):
+    llrs = jdd_llrs(40, 8)[:64].astype(dtype)
+    codec = TurboCodec(k=40, decoder="max-log", n_iter=3)
+    bits, post, ext = _decode_batch(llrs, codec, want_feedback=True)
+    unit = ScaledDecoderWeights(np.ones((3, 2)))
+    bits_w, post_w, ext_w = _decode_batch(llrs, codec, weights=unit,
+                                          want_feedback=True)
+    assert post_w.dtype == ext_w.dtype == dtype
+    assert np.array_equal(bits, bits_w)
+    assert np.array_equal(post, post_w)
+    assert np.array_equal(ext, ext_w)
+
+
+def test_jdd_stage_hands_the_decoder_float32(monkeypatch):
+    seen = []
+
+    def recording_decode(ch_llrs, *args, **kwargs):
+        seen.append(ch_llrs.dtype)
+        return _decode_batch(ch_llrs, *args, **kwargs)
+
+    monkeypatch.setattr(epdetect, "_decode_batch", recording_decode)
+    c = Constellation(MOD_ORDER)
+    codec = TurboCodec(k=40, decoder="scaled-max-log", n_iter=2)
+    spec = SnrSpec("eb-uncoded", 10.0, MOD_ORDER, code_rate=codec.rate)
+    _, _, h_r, y_r = codeword_frames(codec, c, "rayleigh", NT, NR, 0.0,
+                                     snr_scale(spec, NT, NR), 8,
+                                     np.random.default_rng(3))
+    receiver = JddReceiver(
+        codec=codec, constellation=c,
+        schedules=np.tile(DampingSchedule.constant(0.1, 3).raw, (2, 1)))
+    res = jdd_receive_batch(h_r, y_r, receiver)
+    assert seen == [np.float32, np.float32]
+    assert res.extrinsic_llrs.dtype == np.float32

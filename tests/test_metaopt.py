@@ -719,8 +719,10 @@ class TestOnlineTrain:
             x_ab, v_ab, _ = _epnet_core(ds.h_r, ds.y_r, ds.noise_var, probs, c,
                                         sched.raw, cfg, record=False)
             llr = demap_llr(x_ab, v_ab, probs, c).reshape(b, -1)
-            _, _, ext = _decode_batch(llr[:, : codec.n_coded], codec,
-                                      rx.decoder_iters, want_feedback=True)
+            # the JDD stage decodes in float32
+            _, _, ext = _decode_batch(
+                llr[:, : codec.n_coded].astype(np.float32), codec,
+                rx.decoder_iters, want_feedback=True)
             probs, gamma, lam = stage_feedback(ext, rx, stats.nt)
 
     @pytest.mark.parametrize("stages, coded", [(1, False), (1, True),
