@@ -103,6 +103,14 @@ class EpConfig:
             raise ValueError("minimum variance must be positive")
         if self.layers < 1:
             raise ValueError("need at least one EP layer")
+        if np.any(np.asarray(self.init_lambda) <= 0):
+            raise ValueError("initial Lambda must be positive")
+
+    def initial_pair(self, batch, n):
+        """The initial site pair (gamma, Lambda) as new (batch, n) arrays."""
+        return tuple(np.broadcast_to(np.asarray(v, dtype=float),
+                                     (batch, n)).copy()
+                     for v in (self.init_gamma, self.init_lambda))
 
 
 @dataclass
@@ -365,11 +373,12 @@ class EpWorkspace:
     """Cached likelihood terms for repeated EPNet runs on one batch.
 
     Precomputes H^T H / sigma^2 and H^T y / sigma^2 once; `run` executes
-    the layer loop, optionally warm-starting from a cached intermediate
-    state so finite-difference training only recomputes the layers a
-    perturbed damping factor can actually influence.  A JDD receiver
-    keeps one workspace for all its stages on a chunk: each stage sets
-    `probs` and passes its initial site pair to `run`.
+    the layer loop on the priors and from the initial site pair it is
+    given, optionally warm-starting from a cached intermediate state so
+    finite-difference training only recomputes the layers a perturbed
+    damping factor can actually influence.  A JDD receiver keeps one
+    workspace for all its stages on a chunk and passes each stage's
+    priors and initial pair to `run`.
 
     The terms are stored batch-last: H^T H / sigma^2 is contiguous
     (n, n, B) and H^T y / sigma^2 is (n, B).  The attributes `hth` and
@@ -379,8 +388,7 @@ class EpWorkspace:
     are the same bit for bit.
     """
 
-    def __init__(self, h_r, y_r, noise_var, prior_probs, constellation,
-                 config):
+    def __init__(self, h_r, y_r, noise_var, constellation, min_var):
         batch, _, n = h_r.shape
         h_t = np.ascontiguousarray(h_r.transpose(2, 1, 0))
         hth = np.einsum("irb,jrb->ijb", h_t, h_t, out=np.empty((n, n, batch)))
@@ -390,27 +398,17 @@ class EpWorkspace:
         hty /= noise_var
         self.hth = np.moveaxis(hth, -1, 0)
         self.hty = hty.T
-        self.probs = prior_probs
         self.constellation = constellation
-        self.config = config
+        self.min_var = min_var
         self.batch, self.n_dims = batch, n
 
-    def initial_pair(self):
-        cfg = self.config
-        shape = (self.batch, self.n_dims)
-        gamma = np.broadcast_to(np.asarray(cfg.init_gamma, dtype=float),
-                                shape).copy()
-        lam = np.broadcast_to(np.asarray(cfg.init_lambda, dtype=float),
-                              shape).copy()
-        if np.any(lam <= 0):
-            raise ValueError("initial Lambda must be positive")
-        return gamma, lam
+    def run(self, betas_raw, start_layer=0, *, probs, pair, record=True):
+        """Run layers start_layer..L-1 on priors `probs` from `pair`.
 
-    def run(self, betas_raw, start_layer=0, pair=None, record=True):
-        """Run layers start_layer..L-1 from `pair` (init pair when None).
-
-        Returns (x_ab, v_ab, records) where records is a list with one
-        dict per executed layer; with record=False it is empty, for
+        `probs` are the (B, n, m) amplitude priors and `pair` the site
+        pair (gamma, Lambda), each (B, n), that layer start_layer starts
+        from.  Returns (x_ab, v_ab, records) where records is a list with
+        one dict per executed layer; with record=False it is empty, for
         callers that need only the final cavity (inference and the
         training loss).  With record=False the last layer also stops at
         its cavity: its tilted moments and damped site update reach no
@@ -425,8 +423,8 @@ class EpWorkspace:
         that of keeping them.
         """
         betas_raw = np.asarray(betas_raw, dtype=float)
-        gamma, lam = self.initial_pair() if pair is None else pair
-        eps = self.config.min_var
+        gamma, lam = pair
+        eps = self.min_var
         last = betas_raw.size - 1
         out = []
         x_ab = v_ab = None
@@ -440,8 +438,8 @@ class EpWorkspace:
             if l == last and not record:
                 break
             if log_prior is None:
-                log_prior = tilt_log_prior(self.probs)
-            x_b, v_b = discrete_moments(x_ab, v_ab, self.probs,
+                log_prior = tilt_log_prior(probs)
+            x_b, v_b = discrete_moments(x_ab, v_ab, probs,
                                         self.constellation, eps, log_prior)
             cand = refine_pair(gamma, lam, x_ab, v_ab, x_b, v_b)
             new_gamma, new_lam = damp((gamma, lam), cand, betas_raw[l])
@@ -467,11 +465,12 @@ def _epnet_core(h_r, y_r, noise_var, prior_probs, constellation, betas_raw,
     record=False the layers keep nothing and trace is None: the inference
     paths read only the final cavity.
     """
-    ws = EpWorkspace(h_r, y_r, noise_var, prior_probs, constellation, config)
-    x_ab, v_ab, recs = ws.run(betas_raw, record=record)
+    ws = EpWorkspace(h_r, y_r, noise_var, constellation, config.min_var)
+    gamma0, lam0 = config.initial_pair(ws.batch, ws.n_dims)
+    x_ab, v_ab, recs = ws.run(betas_raw, probs=prior_probs,
+                              pair=(gamma0, lam0), record=record)
     if not record:
         return x_ab, v_ab, None
-    gamma0, lam0 = ws.initial_pair()
     del ws  # stack the trace without the batch-sized factorisation buffers
     trace = EpTrace(
         mu=np.stack([r["mu"] for r in recs]),
@@ -628,6 +627,8 @@ def load_damping_table(path):
 class JddReceiver:
     """Unfolded turbo receiver: I detection/decoding stages sharing a codec.
 
+    Each stage's decoder runs `codec.n_iter` turbo iterations.  `config`
+    gives EP's variance floor and the first stage's initial site pair.
     feedback_scale shrinks the decoder extrinsic LLRs before they become
     the next stage's prior.  Short frames recirculate decoder information
     through the demapper, and the unscaled loop measurably diverges after
@@ -639,7 +640,6 @@ class JddReceiver:
     constellation: object
     schedules: np.ndarray  # (I, L) raw damping parameters
     config: EpConfig = field(default_factory=EpConfig)
-    decoder_iters: int = None
     feedback_scale: float = 0.7
 
     def __post_init__(self):
@@ -722,31 +722,33 @@ def stage_feedback(ext, receiver, nt):
 def jdd_stage(ws, schedule, receiver, feedback=None):
     """One JDD stage on the frames of `ws`: EP, demapper and decoder.
 
-    EP runs `schedule` on the priors `ws.probs` from the workspace's
-    initial pair.  `feedback`, the previous stage's decoder extrinsic
-    LLRs (B, V), replaces both by `stage_feedback`'s.  The frames' LLRs,
+    Without `feedback` EP runs `schedule` on uniform priors from
+    `receiver.config`'s initial pair, as a first stage does.  `feedback`,
+    the previous stage's decoder extrinsic LLRs (B, V), gives the priors
+    and the initial pair instead, by `stage_feedback`.  The frames' LLRs,
     filler dropped, go to the decoder in float32, so it decodes in
     float32 (within the tolerance `tests/test_decoder_float32.py`
     declares against float64); EP and the demapper stay float64.
-    Returns the decoder's (bits (B, K), float32 extrinsic LLRs (B, V));
-    `ws.probs` is None afterwards.
+    Returns the decoder's (bits (B, K), float32 extrinsic LLRs (B, V)).
     """
     c = receiver.constellation
     nt = ws.n_dims // 2
-    pair = None
-    if feedback is not None:
-        ws.probs, *pair = stage_feedback(feedback, receiver, nt)
-    x_ab, v_ab, _ = ws.run(schedule, pair=pair, record=False)
-    llr = demap_llr(x_ab, v_ab, ws.probs, c)  # (B*P, nt, Q)
+    if feedback is None:
+        m = c.n_amplitudes
+        probs = np.full((ws.batch, ws.n_dims, m), 1.0 / m)
+        pair = receiver.config.initial_pair(ws.batch, ws.n_dims)
+    else:
+        probs, *pair = stage_feedback(feedback, receiver, nt)
+    x_ab, v_ab, _ = ws.run(schedule, probs=probs, pair=pair, record=False)
+    llr = demap_llr(x_ab, v_ab, probs, c)  # (B*P, nt, Q)
     n_frames = ws.batch // frame_geometry(receiver.codec, c, nt)[1]
     llr_frame = llr.reshape(n_frames, -1)[:, : receiver.codec.n_coded].astype(
         np.float32)
     # the decoder runs at the chunk's peak memory; through it the EP
     # layer holds only H^T H and H^T y
-    del x_ab, v_ab, pair
-    ws.probs = None
+    del x_ab, v_ab, probs, pair
     bits, _, ext = _decode_batch(llr_frame, receiver.codec,
-                                 receiver.decoder_iters, want_feedback=True)
+                                 want_feedback=True)
     return bits, ext
 
 
@@ -759,22 +761,14 @@ def jdd_receive_batch(h_r, y_r, receiver, noise_var=REAL_NOISE_VAR):
     `jdd_stage` on a workspace shared by all stages.
     """
     c = receiver.constellation
-    bsz, n_blocks = h_r.shape[0], h_r.shape[1]
+    n_blocks = h_r.shape[1]
     nt = h_r.shape[3] // 2
     _, n_blocks_expect, _ = frame_geometry(receiver.codec, c, nt)
     if n_blocks != n_blocks_expect:
         raise ValueError("frame geometry mismatch")
-    m = c.n_amplitudes
-    n = 2 * nt
-    flat_h = h_r.reshape(-1, *h_r.shape[2:])
-    flat_y = y_r.reshape(-1, y_r.shape[-1])
-
-    config = receiver.config
-    ws = EpWorkspace(flat_h, flat_y, noise_var,
-                     np.full((bsz * n_blocks, n, m), 1.0 / m), c,
-                     EpConfig(layers=receiver.layers, min_var=config.min_var,
-                              init_gamma=float(config.init_gamma),
-                              init_lambda=float(config.init_lambda)))
+    ws = EpWorkspace(h_r.reshape(-1, *h_r.shape[2:]),
+                     y_r.reshape(-1, y_r.shape[-1]), noise_var, c,
+                     receiver.config.min_var)
 
     bits_stages, ext_stages = [], []
     ext = None

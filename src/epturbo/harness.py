@@ -260,7 +260,7 @@ def _receiver(config, snr_idx, snr_db, theta, codec=None):
         sched = np.ones_like(sched)
     receiver = JddReceiver(
         codec=codec, constellation=Constellation(config.mod_order),
-        schedules=sched, decoder_iters=config.decoder_iters,
+        schedules=sched,
         config=EpConfig(layers=config.ep_layers, min_var=config.ep_min_var))
     if config.damping_source in ("fixed", "table"):
         return receiver, []
@@ -353,11 +353,11 @@ def run_sweep(config, theta=None, extra_variants=None):
                             agg[1] += errs
                             agg[2] += frames
                             agg[3] += ferrs
-                    # stop on the last sub-variant: it accumulates errors
-                    # slowest, so every other sub-record has at least as many
-                    last = totals[max(totals, key=_sub_variant_key)]
-                    done = (last[1] >= config.min_bit_errors
-                            or last[0] >= config.max_bits)
+                    # stop on the sub-variant with the fewest errors, so
+                    # every sub-record has at least as many
+                    fewest = min(totals.values(), key=lambda agg: agg[1])
+                    done = (fewest[1] >= config.min_bit_errors
+                            or fewest[0] >= config.max_bits)
                 elapsed = time.perf_counter() - t0
                 for sub in sorted(totals, key=_sub_variant_key):
                     bits, errs, frames, ferrs = totals[sub]

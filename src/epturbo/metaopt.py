@@ -527,18 +527,19 @@ class EpTrainingSet:
     noise_var: float = REAL_NOISE_VAR
 
 
-def _first_stage_set(h_r, y_r, x_r, constellation, init_lambda):
-    """A first detection stage's training set: uniform priors and the
-    initial site pair (zero gamma, `init_lambda`) on every dimension."""
+def _first_stage_set(h_r, y_r, x_r, constellation, config):
+    """A first detection stage's training set: uniform priors and
+    `config`'s initial site pair on every dimension."""
     b, n = x_r.shape
     m = constellation.n_amplitudes
+    gamma, lam = config.initial_pair(b, n)
     return EpTrainingSet(
         h_r=h_r,
         y_r=y_r,
         x_r=x_r,
         prior_probs=np.full((b, n, m), 1.0 / m),
-        init_gamma=np.zeros((b, n)),
-        init_lambda=np.full((b, n), init_lambda),
+        init_gamma=gamma,
+        init_lambda=lam,
         constellation=constellation,
     )
 
@@ -558,28 +559,17 @@ def generate_training_set(stats, rng=None):
     x = map_bits(bits, c)
     h_r, y_r = observe(h, x, rng)
     x_r = np.concatenate([x.real, x.imag], axis=-1)
-    return _first_stage_set(h_r, y_r, x_r, c, EpConfig().init_lambda)
+    return _first_stage_set(h_r, y_r, x_r, c, EpConfig())
 
 
-def _workspace_for(dataset, layers, min_var, workspace=None):
-    """EP workspace for `dataset`'s priors and initial site pair.
+def _workspace_for(dataset, layers, min_var):
+    """EP workspace on `dataset`'s channels and observations.
 
-    `workspace`, when given, was built on the same channels and
-    observations (an earlier JDD stage of one training set); it is
-    pointed at this dataset's priors and initial pair and returned, so
-    H^T H is not computed again.
+    It serves every JDD stage of one training set: the loss passes each
+    stage's priors and initial pair to its runs.  `layers` is not read.
     """
-    cfg = EpConfig(
-        layers=layers,
-        min_var=min_var,
-        init_gamma=dataset.init_gamma,
-        init_lambda=dataset.init_lambda,
-    )
-    if workspace is None:
-        return EpWorkspace(dataset.h_r, dataset.y_r, dataset.noise_var,
-                           dataset.prior_probs, dataset.constellation, cfg)
-    workspace.probs, workspace.config = dataset.prior_probs, cfg
-    return workspace
+    return EpWorkspace(dataset.h_r, dataset.y_r, dataset.noise_var,
+                       dataset.constellation, min_var)
 
 
 # the central-difference step of the online damping gradient
@@ -596,10 +586,13 @@ def _recorded_loss(beta_raw, dataset, ws):
     The central differences warm-start from layers 0..L-2, so those are
     recorded; the last layer only runs to its cavity.
     """
-    _, _, recs = ws.run(beta_raw[:-1])
-    pair = (recs[-1]["gamma_out"], recs[-1]["lam_out"]) if recs else None
-    x_out, _, _ = ws.run(beta_raw, start_layer=beta_raw.size - 1, pair=pair,
-                         record=False)
+    probs = dataset.prior_probs
+    pair = dataset.init_gamma, dataset.init_lambda
+    _, _, recs = ws.run(beta_raw[:-1], probs=probs, pair=pair)
+    if recs:
+        pair = recs[-1]["gamma_out"], recs[-1]["lam_out"]
+    x_out, _, _ = ws.run(beta_raw, start_layer=beta_raw.size - 1,
+                         probs=probs, pair=pair, record=False)
     return _output_mse(x_out, dataset), recs
 
 
@@ -610,6 +603,7 @@ def _fd_gradient(beta_raw, dataset, ws, recs, fd_step):
     update of layer i; the last coordinate's gradient is 0.
     """
     grad = np.zeros_like(beta_raw)
+    probs = dataset.prior_probs
     for i in range(beta_raw.size - 1):
         sides = []
         for sign in (1.0, -1.0):
@@ -617,8 +611,8 @@ def _fd_gradient(beta_raw, dataset, ws, recs, fd_step):
             b[i] += sign * fd_step
             pair = damp((recs[i]["gamma_in"], recs[i]["lam_in"]),
                         (recs[i]["cand_gamma"], recs[i]["cand_lam"]), b[i])
-            x_tail, _, _ = ws.run(b, start_layer=i + 1, pair=pair,
-                                  record=False)
+            x_tail, _, _ = ws.run(b, start_layer=i + 1, probs=probs,
+                                  pair=pair, record=False)
             sides.append(_output_mse(x_tail, dataset))
         grad[i] = (sides[0] - sides[1]) / (2 * fd_step)
     return grad
@@ -660,8 +654,9 @@ def train_schedule(theta, dataset, layers, epochs=100, beta_init=1.0,
     last iterate costs its loss alone.  Returns (schedule, loss curve),
     where the schedule is the best iterate seen, so training never ends
     worse than its starting point on the training set.  `workspace` is
-    an EP workspace already set up for `dataset` (see `_workspace_for`);
-    by default one is built.
+    an EP workspace on `dataset`'s channels and observations (see
+    `_workspace_for`); by default one is built.  Every run takes the
+    priors and initial pair of `dataset`.
     """
     beta = np.broadcast_to(np.asarray(beta_init, dtype=float),
                            (layers,)).copy()
@@ -712,13 +707,15 @@ def online_train(receiver, channel_stats, theta, epochs=100, rng=None,
     A receiver without a codec has one stage, trained on
     `generate_training_set`'s detection instances.  A JDD receiver
     trains on `_codeword_training_set`'s frames, one detection instance
-    per block.  Each stage starts from its row of `receiver.schedules`
-    and keeps the best iterate seen, so epochs=0 returns the receiver's
-    schedules unchanged.  Stages train sequentially on one EP workspace:
-    stage i sees the priors and initial site pairs that a frozen pass of
-    the trained stage i-1 (`jdd_stage`, then `stage_feedback`) produces
-    over the same frames.  Returns (the receiver with the trained
-    schedules, list of loss curves).
+    per block.  Stage 1 trains on uniform priors from `receiver.config`'s
+    initial site pair, the pair `jdd_stage` detects with.  Each stage
+    starts from its row of `receiver.schedules` and keeps the best
+    iterate seen, so epochs=0 returns the receiver's schedules
+    unchanged.  Stages train sequentially on one EP workspace: stage i
+    sees the priors and initial site pairs that a frozen pass of the
+    trained stage i-1 (`jdd_stage`, then `stage_feedback`) produces over
+    the same frames.  Returns (the receiver with the trained schedules,
+    list of loss curves).
     """
     rng = rng or np.random.default_rng(channel_stats.seed)
     if channel_stats.n_samples < 1:
@@ -728,24 +725,24 @@ def online_train(receiver, channel_stats, theta, epochs=100, rng=None,
         if receiver.n_stages != 1:
             raise ValueError("a codec-free receiver has exactly one stage")
         dataset = generate_training_set(channel_stats, rng)
+        frames = dataset.h_r, dataset.y_r, dataset.x_r
     else:
-        frames = _codeword_training_set(receiver, channel_stats, rng)[:3]
-        h_r, y_r, x_r = (a.reshape(-1, *a.shape[2:]) for a in frames)
-        dataset = _first_stage_set(h_r, y_r, x_r, receiver.constellation,
-                                   cfg.init_lambda)
+        frames = (a.reshape(-1, *a.shape[2:]) for a in
+                  _codeword_training_set(receiver, channel_stats, rng)[:3])
+    dataset = _first_stage_set(*frames, receiver.constellation, cfg)
 
     schedules = []
     curves = []
-    ws = None  # one workspace, hence one H^T H, for every stage
+    ws = _workspace_for(dataset, receiver.layers, cfg.min_var)
+    ext = None
     for stage, start in enumerate(receiver.schedules):
         if stage:
-            # a frozen pass of the stage just trained gives this stage's
-            # priors and initial pair
-            _, ext = jdd_stage(ws, schedules[-1], receiver)
+            # a frozen pass of the stage just trained, fed the extrinsics
+            # it trained on, gives this stage's priors and initial pair
+            _, ext = jdd_stage(ws, schedules[-1], receiver, ext)
             probs, gamma, lam = stage_feedback(ext, receiver, channel_stats.nt)
             dataset = replace(dataset, prior_probs=probs, init_gamma=gamma,
                               init_lambda=lam)
-        ws = _workspace_for(dataset, receiver.layers, cfg.min_var, ws)
         sched, curve = train_schedule(
             theta, dataset, receiver.layers, epochs, beta_init=start,
             plateau_tol=plateau_tol, plateau_window=plateau_window,

@@ -127,7 +127,6 @@ class TurboCodec:
     n_iter: int = 5
     seed: int = 0
     trellis: Trellis = field(default_factory=Trellis)
-    weights: ScaledDecoderWeights = None
 
     def __post_init__(self):
         if self.interleaver is None:
@@ -382,14 +381,15 @@ def _decode_batch(ch_llrs, codec, n_iter=None, weights=None, want_feedback=False
 
     Computes in the working dtype of `ch_llrs` (`_working_dtype`), and
     returns posteriors and extrinsics in it: float32 LLRs decode in
-    float32, any other input in float64.
+    float32, any other input in float64.  Scaled max-log without
+    `weights` scales by `ScaledDecoderWeights.initial`.
     """
     n_iter = codec.n_iter if n_iter is None else n_iter
     if n_iter < 1:
         raise ValueError("need at least one turbo iteration")
     algo = "log" if codec.decoder == "log" else "max-log"
     if weights is None and codec.decoder == "scaled-max-log":
-        weights = codec.weights or ScaledDecoderWeights.initial(n_iter)
+        weights = ScaledDecoderWeights.initial(n_iter)
 
     sys1, p1, sys2, p2 = _split_codeword_llrs(ch_llrs, codec)
     dtype = sys1.dtype

@@ -13,7 +13,6 @@ import pytest
 from epturbo.modem import maxstar
 from epturbo.turbocode import (
     NEG_INF,
-    ScaledDecoderWeights,
     Trellis,
     TurboCodec,
     _bcjr_batch,
@@ -142,8 +141,7 @@ def test_bcjr_matches_reference_on_edge_inputs(algo, want, kind):
 def test_feedback_decode_matches_reference_exactly(monkeypatch):
     from epturbo import turbocode
 
-    codec = TurboCodec(k=64, decoder="scaled-max-log", n_iter=4,
-                       weights=ScaledDecoderWeights.initial(4))
+    codec = TurboCodec(k=64, decoder="scaled-max-log", n_iter=4)
     rng = np.random.default_rng(3)
     llrs = rng.normal(size=(96, codec.n_coded)) * 4
     got = _decode_batch(llrs, codec, want_feedback=True)

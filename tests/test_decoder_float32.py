@@ -66,20 +66,21 @@ def jdd_llrs(k, snr_db):
                                      snr_scale(spec, NT, NR), N_FRAMES, rng)
     schedule = DampingSchedule.constant(0.1, 5).raw
     receiver = JddReceiver(codec=codec, constellation=c,
-                           schedules=np.tile(schedule, (2, 1)),
-                           decoder_iters=DECODER_ITERS)
+                           schedules=np.tile(schedule, (2, 1)))
     n_blocks = frame_geometry(codec, c, NT)[1]
     m = c.n_amplitudes
+    cfg = EpConfig(layers=5)
     ws = EpWorkspace(h_r.reshape(-1, 2 * NR, 2 * NT), y_r.reshape(-1, 2 * NR),
-                     REAL_NOISE_VAR,
-                     np.full((N_FRAMES * n_blocks, 2 * NT, m), 1.0 / m), c,
-                     EpConfig(layers=5))
-    stages, ext, pair = [], None, None
+                     REAL_NOISE_VAR, c, cfg.min_var)
+    probs = np.full((N_FRAMES * n_blocks, 2 * NT, m), 1.0 / m)
+    pair = cfg.initial_pair(ws.batch, ws.n_dims)
+    stages, ext = [], None
     for _ in range(2):
         if ext is not None:
-            ws.probs, *pair = stage_feedback(ext, receiver, NT)
-        x_ab, v_ab, _ = ws.run(schedule, pair=pair, record=False)
-        llr = demap_llr(x_ab, v_ab, ws.probs, c)
+            probs, *pair = stage_feedback(ext, receiver, NT)
+        x_ab, v_ab, _ = ws.run(schedule, probs=probs, pair=pair,
+                               record=False)
+        llr = demap_llr(x_ab, v_ab, probs, c)
         llr_frame = llr.reshape(N_FRAMES, -1)[:, : codec.n_coded]
         assert llr_frame.dtype == np.float64
         stages.append(llr_frame)

@@ -252,17 +252,20 @@ def test_five_layer_run_within_declared_tolerance(order, nt, informative):
         cfg = EpConfig(layers=5)
     raw = DampingSchedule.from_effective([0.9, 0.6, 0.4, 0.2, 0.1]).raw
     ref_ws = ReferenceWorkspace(h_r, y_r, REAL_NOISE_VAR, probs, c, cfg)
-    ws = EpWorkspace(h_r, y_r, REAL_NOISE_VAR, probs, c, cfg)
+    ws = EpWorkspace(h_r, y_r, REAL_NOISE_VAR, c, cfg.min_var)
     x_ref, v_ref, recs_ref = ref_ws.run(raw)
     for record in (True, False):
-        x, v, recs = ws.run(raw, record=record)
+        x, v, recs = ws.run(raw, probs=probs,
+                            pair=cfg.initial_pair(ws.batch, ws.n_dims),
+                            record=record)
         assert x.shape == v.shape == x_ref.shape
         assert_within(x, x_ref, RUN_RTOL, RUN_ATOL)
         assert_within(v, v_ref, RUN_RTOL, RUN_ATOL)
         assert len(recs) == (len(recs_ref) if record else 0)
     # a warm-started tail, as the training loss runs it
     pair = (recs_ref[2]["gamma_in"], recs_ref[2]["lam_in"])
-    x, v, _ = ws.run(raw, start_layer=2, pair=pair, record=False)
+    x, v, _ = ws.run(raw, start_layer=2, probs=probs, pair=pair,
+                     record=False)
     assert_within(x, x_ref, RUN_RTOL, RUN_ATOL)
     assert_within(v, v_ref, RUN_RTOL, RUN_ATOL)
 

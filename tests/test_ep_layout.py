@@ -221,12 +221,14 @@ def test_untraced_run_skips_only_the_last_tilted_moments(monkeypatch, layers):
     rng = np.random.default_rng(60 + layers)
     h, y, probs, c = ep_batch(rng)
     raw = DampingSchedule.from_effective(np.linspace(0.9, 0.2, layers)).raw
-    ws = EpWorkspace(h, y, 0.5, probs, c, EpConfig(layers=layers))
+    cfg = EpConfig(layers=layers)
+    ws = EpWorkspace(h, y, 0.5, c, cfg.min_var)
+    pair = cfg.initial_pair(ws.batch, ws.n_dims)
     calls = counting(monkeypatch)
-    x_ref, v_ref, recs = ws.run(raw)
+    x_ref, v_ref, recs = ws.run(raw, probs=probs, pair=pair)
     assert len(calls) == layers == len(recs)
     del calls[:]
-    x, v, none = ws.run(raw, record=False)
+    x, v, none = ws.run(raw, probs=probs, pair=pair, record=False)
     assert none == []
     assert len(calls) == layers - 1
     assert np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
@@ -238,13 +240,16 @@ def test_warm_started_untraced_tail_equals_full_run(monkeypatch):
     rng = np.random.default_rng(70)
     h, y, probs, c = ep_batch(rng)
     raw = DampingSchedule.from_effective([0.9, 0.6, 0.4, 0.2]).raw
-    ws = EpWorkspace(h, y, 0.5, probs, c, EpConfig(layers=4))
-    x_ref, v_ref, recs = ws.run(raw)
+    cfg = EpConfig(layers=4)
+    ws = EpWorkspace(h, y, 0.5, c, cfg.min_var)
+    x_ref, v_ref, recs = ws.run(
+        raw, probs=probs, pair=cfg.initial_pair(ws.batch, ws.n_dims))
     calls = counting(monkeypatch)
     for start in (1, 2, 3):
         del calls[:]
         pair = (recs[start]["gamma_in"], recs[start]["lam_in"])
-        x, v, _ = ws.run(raw, start_layer=start, pair=pair, record=False)
+        x, v, _ = ws.run(raw, start_layer=start, probs=probs, pair=pair,
+                         record=False)
         assert len(calls) == 3 - start
         assert np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
 
@@ -252,7 +257,8 @@ def test_warm_started_untraced_tail_equals_full_run(monkeypatch):
 def reference_loss_and_grad(beta_raw, dataset, ws, fd_step=1e-3):
     """The training loss and gradient from one recorded run of all L
     layers, with the tails warm-started from its records."""
-    x_out, _, recs = ws.run(beta_raw)
+    x_out, _, recs = ws.run(beta_raw, probs=dataset.prior_probs,
+                            pair=(dataset.init_gamma, dataset.init_lambda))
 
     def output_loss(x_ab):
         return float(np.mean(np.sum((x_ab - dataset.x_r) ** 2, axis=-1)))
@@ -266,7 +272,8 @@ def reference_loss_and_grad(beta_raw, dataset, ws, fd_step=1e-3):
             pair = epdetect.damp((recs[i]["gamma_in"], recs[i]["lam_in"]),
                                  (recs[i]["cand_gamma"], recs[i]["cand_lam"]),
                                  b[i])
-            x_tail, _, _ = ws.run(b, start_layer=i + 1, pair=pair,
+            x_tail, _, _ = ws.run(b, start_layer=i + 1,
+                                  probs=dataset.prior_probs, pair=pair,
                                   record=False)
             sides.append(output_loss(x_tail))
         grad[i] = (sides[0] - sides[1]) / (2 * fd_step)

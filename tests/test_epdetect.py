@@ -308,6 +308,24 @@ class TestRefineAndDamp:
         assert sigmoid(0.0) == 0.5
 
 
+class TestEpConfig:
+    @pytest.mark.parametrize("init_lambda", [
+        0.0, -1.0, np.array([[0.5, 0.5], [0.5, 0.0]]),
+        np.array([[0.5, -2.0]])])
+    def test_nonpositive_initial_lambda_is_rejected(self, init_lambda):
+        with pytest.raises(ValueError, match="initial Lambda must be positive"):
+            EpConfig(init_lambda=init_lambda)
+
+    def test_initial_pair_broadcasts_to_new_arrays(self):
+        lam = np.array([[0.5, 2.0]])
+        cfg = EpConfig(init_gamma=0.25, init_lambda=lam)
+        gamma, got = cfg.initial_pair(3, 2)
+        assert np.array_equal(gamma, np.full((3, 2), 0.25))
+        assert np.array_equal(got, np.repeat(lam, 3, axis=0))
+        got[0, 0] = 7.0
+        assert lam[0, 0] == 0.5 and cfg.initial_pair(3, 2)[1][0, 0] == 0.5
+
+
 class TestEpnetDetect:
     def test_l1_equals_mmse_bit_for_bit(self):
         rng = np.random.default_rng(6)
@@ -417,9 +435,10 @@ class TestUntracedRun:
         assert trace is None
         assert np.array_equal(x, x_ref)
         assert np.array_equal(v, v_ref)
-        ws = EpWorkspace(h, y, 0.5, probs, c, cfg)
+        ws = EpWorkspace(h, y, 0.5, c, cfg.min_var)
+        pair = cfg.initial_pair(b, n)
         for _ in range(2):  # the factorisation buffers are reused
-            x, v, recs = ws.run(raw, record=False)
+            x, v, recs = ws.run(raw, probs=probs, pair=pair, record=False)
             assert recs == []
             assert np.array_equal(x, x_ref)
             assert np.array_equal(v, v_ref)

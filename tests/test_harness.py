@@ -168,6 +168,20 @@ class TestSweep:
         assert [r.variant for r in recs] == [f"x-s{i}" for i in range(1, 11)]
         assert recs[-1].bits == 2000  # 5 checks of 4 chunks
 
+    def test_stop_rule_reads_fewest_errors(self):
+        # stage 2 errs more than stage 1, as a late JDD stage can: the
+        # point runs on until stage 1 has min_bit_errors as well
+        class Diverging:
+            def run_chunk(self, config, scale, rng, n_frames):
+                return {"x-s1": (100, 10, 1, 1), "x-s2": (100, 50, 1, 1)}
+
+        cfg = small_config(variants=(), snr_grid_db=(0.0,),
+                           min_bit_errors=100, max_bits=10**6)
+        recs = run_sweep(cfg, extra_variants={"x": Diverging()})
+        assert [r.variant for r in recs] == ["x-s1", "x-s2"]
+        assert recs[0].bit_errors >= cfg.min_bit_errors
+        assert recs[0].bits == 1200  # 3 checks of 4 chunks
+
     def test_table_shape_must_match_layers(self):
         cfg = small_config(variants=("epnet",), ep_layers=5,
                            damping_source="table",

@@ -519,9 +519,10 @@ class CountingWorkspace:
         self.runs = self.evaluations = 0
         self.last_layer_next = False
 
-    def run(self, betas_raw, start_layer=0, pair=None, record=True):
+    def run(self, betas_raw, start_layer=0, *, probs, pair, record=True):
         self.runs += 1
-        x_ab, v_ab, recs = self.ws.run(betas_raw, start_layer, pair, record)
+        x_ab, v_ab, recs = self.ws.run(betas_raw, start_layer, probs=probs,
+                                       pair=pair, record=record)
         if record:
             self.evaluations += 1
             self.last_layer_next = True
@@ -722,7 +723,7 @@ class TestOnlineTrain:
             # the JDD stage decodes in float32
             _, _, ext = _decode_batch(
                 llr[:, : codec.n_coded].astype(np.float32), codec,
-                rx.decoder_iters, want_feedback=True)
+                want_feedback=True)
             probs, gamma, lam = stage_feedback(ext, rx, stats.nt)
 
     @pytest.mark.parametrize("stages, coded", [(1, False), (1, True),
@@ -758,12 +759,12 @@ class TestOnlineTrain:
 
         from epturbo.turbocode import TurboCodec
 
-        codec = TurboCodec(k=16, decoder="max-log", n_iter=2) if coded else None
+        codec = TurboCodec(k=16, decoder="max-log", n_iter=3) if coded else None
         stages = 2 if coded else 1
         rx = JddReceiver(codec=codec, constellation=Constellation(4),
                          schedules=np.ones((stages, 2)),
                          config=EpConfig(layers=2, min_var=1e-6),
-                         decoder_iters=3, feedback_scale=0.6)
+                         feedback_scale=0.6)
         stats = small_stats(nt=4, nr=4, n_samples=16)
         trained, _ = online_train(rx, stats, quick_theta, epochs=3)
         assert trained is not rx
@@ -772,6 +773,41 @@ class TestOnlineTrain:
         for f in dataclasses.fields(JddReceiver):
             if f.name != "schedules":
                 assert getattr(trained, f.name) is getattr(rx, f.name), f.name
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_first_stage_trains_from_the_receivers_pair(self, quick_theta,
+                                                         coded):
+        # stage 1's first loss is the output MSE of the receiver's own
+        # initial pair, the one `jdd_stage` detects with
+        from epturbo.channel import REAL_NOISE_VAR
+        from epturbo.metaopt import _codeword_training_set
+        from epturbo.turbocode import TurboCodec
+
+        c = Constellation(4)
+        if coded:
+            codec = TurboCodec(k=16, decoder="max-log", n_iter=2)
+            cfg = EpConfig(layers=3, init_gamma=0.3, init_lambda=1.0)
+        else:
+            codec, cfg = None, EpConfig(layers=3, init_lambda=1.0)
+        rx = JddReceiver(codec=codec, constellation=c,
+                         schedules=np.tile([0.5, -0.7, 0.0],
+                                           (2 if coded else 1, 1)),
+                         config=cfg)
+        stats = small_stats(nt=4, nr=4, n_samples=32)
+        _, curves = online_train(rx, stats, quick_theta, epochs=0)
+
+        rng = np.random.default_rng(stats.seed)
+        if coded:
+            frames = _codeword_training_set(rx, stats, rng)[:3]
+            h_r, y_r, x_r = (a.reshape(-1, *a.shape[2:]) for a in frames)
+        else:
+            ds = generate_training_set(stats, rng)
+            h_r, y_r, x_r = ds.h_r, ds.y_r, ds.x_r
+        m = c.n_amplitudes
+        probs = np.full(x_r.shape + (m,), 1.0 / m)
+        x_ab, _, _ = _epnet_core(h_r, y_r, REAL_NOISE_VAR, probs, c,
+                                 rx.schedules[0], cfg, record=False)
+        assert curves[0][0] == np.mean(np.sum((x_ab - x_r) ** 2, axis=-1))
 
     def test_jdd_sequential_training_shapes(self, quick_theta):
         from epturbo.turbocode import TurboCodec
