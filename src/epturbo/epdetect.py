@@ -725,10 +725,12 @@ def jdd_stage(ws, schedule, receiver, feedback=None):
     Without `feedback` EP runs `schedule` on uniform priors from
     `receiver.config`'s initial pair, as a first stage does.  `feedback`,
     the previous stage's decoder extrinsic LLRs (B, V), gives the priors
-    and the initial pair instead, by `stage_feedback`.  The frames' LLRs,
-    filler dropped, go to the decoder in float32, so it decodes in
-    float32 (within the tolerance `tests/test_decoder_float32.py`
-    declares against float64); EP and the demapper stay float64.
+    and the initial pair instead, by `stage_feedback`.  The demapper
+    forms the LLRs in float32 from EP's float64 cavity moments, and the
+    frames' LLRs, filler dropped, go to the decoder, which then decodes
+    in float32 (each within the tolerance `tests/test_demapper_float32.py`
+    and `tests/test_decoder_float32.py` declare against float64); EP and
+    the stage feedback stay float64.
     Returns the decoder's (bits (B, K), float32 extrinsic LLRs (B, V)).
     """
     c = receiver.constellation
@@ -740,10 +742,9 @@ def jdd_stage(ws, schedule, receiver, feedback=None):
     else:
         probs, *pair = stage_feedback(feedback, receiver, nt)
     x_ab, v_ab, _ = ws.run(schedule, probs=probs, pair=pair, record=False)
-    llr = demap_llr(x_ab, v_ab, probs, c)  # (B*P, nt, Q)
+    llr = demap_llr(x_ab, v_ab, probs, c, dtype=np.float32)  # (B*P, nt, Q)
     n_frames = ws.batch // frame_geometry(receiver.codec, c, nt)[1]
-    llr_frame = llr.reshape(n_frames, -1)[:, : receiver.codec.n_coded].astype(
-        np.float32)
+    llr_frame = llr.reshape(n_frames, -1)[:, : receiver.codec.n_coded]
     # the decoder runs at the chunk's peak memory; through it the EP
     # layer holds only H^T H and H^T y
     del x_ab, v_ab, probs, pair

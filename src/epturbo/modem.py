@@ -25,6 +25,32 @@ def maxstar_reduce(x, axis=-1):
     return np.logaddexp.reduce(x, axis=axis)
 
 
+def maxstar_finite(a, b, out=None):
+    """max*(a, b) = max(a, b) + log1p(exp(min(a, b) - max(a, b))) for
+    finite a and b.
+
+    The Jacobian logarithm `np.logaddexp` evaluates too, as whole-array
+    steps on numpy's vectorised `exp` and `log1p`, where `np.logaddexp`
+    calls libm once per element: about 6x faster in float64 and 10x in
+    float32.  min - max is floored at log(tiny) + 1, tiny the dtype's
+    smallest normal number, because `exp` and `log1p` take about 10 and
+    50 times longer where e^(min - max) would be subnormal.  The floor
+    moves the result by at most 3 tiny, less than half an ulp of any
+    result above 1e-30 in float32 or 1e-291 in float64, so it agrees
+    with `np.logaddexp` within a few ulp of the larger argument.  An
+    infinite argument would make min - max NaN, so the arguments must
+    be finite.  `out` may be `a` or `b`, as `fold_columns` passes it.
+    """
+    d = np.minimum(a, b)
+    top = np.maximum(a, b, out=out)
+    d -= top
+    np.maximum(d, np.log(np.finfo(d.dtype).tiny) + 1.0, out=d)
+    np.exp(d, out=d)
+    np.log1p(d, out=d)
+    top += d
+    return top
+
+
 def fold_columns(ufunc, cols, out=None):
     """`ufunc` folded left over the equal-shape arrays `cols`.
 
@@ -192,34 +218,36 @@ def uniform_prior(constellation, n_dims):
     return SymbolPrior(probs, constellation)
 
 
-def _bit_probs_from_llr(llr):
-    """Stack (P(b=0), P(b=1)) computed stably from clamped LLRs."""
-    llr = np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
-    p0 = 1.0 / (1.0 + np.exp(-llr))
-    return np.stack([p0, 1.0 - p0], axis=-1)
-
-
 def prior_probs_from_llr(llr, constellation):
     """Batched LLRs (..., n_sym, Q) -> amplitude probabilities (..., 2*n_sym, m).
 
     The symbol prior is the product of its per-bit probabilities, split
     between the I and Q rails by the labeling convention; output rows are
     ordered [I_0..I_{n-1}, Q_0..Q_{n-1}] along the second-to-last axis.
+    Each amplitude's probability is one product of bit-probability
+    columns over both rails at once, normalised by `sum_columns`, which
+    gives the products and the sum over the last axis bit for bit.
     """
     q = constellation.bits_per_dim
-    bp = _bit_probs_from_llr(np.asarray(llr, dtype=float))
+    m = constellation.n_amplitudes
     labels = constellation.labels
-
-    def rail(bit_probs):
-        # product over the q bits of P(b_j = label_j(k)) for every amplitude k
-        out = np.ones(bit_probs.shape[:-2] + (constellation.n_amplitudes,))
-        for j in range(q):
-            out = out * bit_probs[..., j, labels[:, j]]
-        return out
-
-    probs = np.concatenate([rail(bp[..., :q, :]), rail(bp[..., q:, :])], axis=-2)
+    llr = np.clip(np.asarray(llr, dtype=float), -LLR_CLAMP, LLR_CLAMP)
+    p0 = 1.0 / (1.0 + np.exp(-llr))
+    # (..., n_sym, Q) -> (..., 2, n_sym, q): the I rail's bits, then the Q rail's
+    p0 = np.moveaxis(p0.reshape(llr.shape[:-1] + (2, q)), -2, -3)
+    bit = (p0, 1.0 - p0)  # P(b_j = 0), P(b_j = 1)
+    cols = []
+    for label in labels:
+        col = bit[label[0]][..., 0]
+        for j in range(1, q):
+            col = col * bit[label[j]][..., j]
+        cols.append(col)
     # product priors are normalized by construction; renormalize for hygiene
-    return probs / probs.sum(axis=-1, keepdims=True)
+    total = sum_columns(cols)
+    probs = np.empty(p0.shape[:-1] + (m,))
+    for k, col in enumerate(cols):
+        np.divide(col, total, out=probs[..., k])
+    return probs.reshape(llr.shape[:-2] + (-1, m))
 
 
 def llr_to_prior(llr, constellation):
@@ -231,7 +259,7 @@ def llr_to_prior(llr, constellation):
     return SymbolPrior(prior_probs_from_llr(llr, constellation), constellation)
 
 
-def demap_llr(ext_mean, ext_var, prior, constellation):
+def demap_llr(ext_mean, ext_var, prior, constellation, dtype=np.float64):
     """Extrinsic bit LLRs from a Gaussian extrinsic pdf on each real dimension.
 
     Parameters
@@ -244,36 +272,52 @@ def demap_llr(ext_mean, ext_var, prior, constellation):
         LLR includes the priors of the *other* bits on the same rail, so
         the result is extrinsic per bit; with a uniform prior this reduces
         to the plain Gaussian log-ratio over the constellation.
+    dtype : np.float64 or np.float32
+        Precision of the LLR arithmetic and of the result.  float32
+        moves the LLRs within the tolerance `tests/test_demapper_float32.py`
+        declares against float64 (see `_demap_dims`); the JDD loop
+        demaps in float32 for its float32 decoder.
 
     Returns
     -------
-    ndarray (n, Q) of LLRs, clamped to +-LLR_CLAMP.
+    ndarray (n, Q) of LLRs in `dtype`, clamped to +-LLR_CLAMP.
     """
     mean = np.atleast_1d(np.asarray(ext_mean, dtype=float))
     var = np.atleast_1d(np.asarray(ext_var, dtype=float))
     if np.any(var <= 0):
         raise ValueError("extrinsic variances must be positive")
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError("demap_llr computes in float32 or float64")
     probs = prior.probs if isinstance(prior, SymbolPrior) else np.asarray(prior)
     if probs.shape[-2] != mean.shape[-1]:
         raise ValueError("prior/extrinsic dimension mismatch")
-    llr2 = _demap_dims(mean, var, probs, constellation)  # (..., 2n, q)
+    llr2 = _demap_dims(mean, var, probs, constellation, dtype)  # (..., 2n, q)
     n = mean.shape[-1] // 2
     return np.concatenate([llr2[..., :n, :], llr2[..., n:, :]], axis=-1)
 
 
-def _demap_dims(mean, var, probs, constellation):
+def _demap_dims(mean, var, probs, constellation, dtype=np.float64):
     """Per-dimension bit LLRs; mean/var/probs may carry leading batch axes.
 
     The m amplitudes and q bits of a rail are a handful of entries, so
     every sum and max* over them runs as elementwise steps over whole
     (..., 2n) columns, folded in the order the reductions over those axes
-    take (`sum_columns`, `fold_columns`), which keeps the LLRs bit for
-    bit those of the reductions.
+    take (`sum_columns`, `fold_columns`), which keeps the float64 LLRs
+    bit for bit those of the reductions.
+
+    In float32 each step that cancels stays in float64 and is rounded
+    once: the Gaussian exponents are shifted by their per-dimension max
+    (which cancels in every LLR) before the cast, and the bit
+    log-marginals are cast once formed.  The sums and max* folds then
+    run in float32, max* as `maxstar_finite`.  A uniform prior (every
+    entry 1/m) adds the same log prior to every amplitude of a bit's
+    numerator and denominator, so float32 leaves it out.
     """
     amps = constellation.amplitudes
     labels = constellation.labels
     q = constellation.bits_per_dim
     m = amps.size
+    single = np.dtype(dtype) == np.float32
     cols = [probs[..., k] for k in range(m)]
 
     # Gaussian log-likelihood of each amplitude, amplitude-major
@@ -281,26 +325,38 @@ def _demap_dims(mean, var, probs, constellation):
     np.square(logw, out=logw)
     np.negative(logw, out=logw)
     logw /= 2.0 * var
-    # per-bit prior marginals recovered from the amplitude probabilities:
-    # log_bit[j][b] is log P(bit j = b)
-    log_bit = []
-    for j in range(q):
-        p0 = sum_columns([cols[k] for k in range(m) if labels[k, j] == 0])
-        log_bit.append((np.log(np.maximum(p0, 1e-300)),
-                        np.log(np.maximum(1.0 - p0, 1e-300))))
+    if single:
+        logw -= fold_columns(np.maximum, logw)
+        # weights below e^-1e30 are 0 either way; the floor keeps the
+        # cast finite at any positive variance
+        logw = np.maximum(logw, -1e30, out=logw).astype(np.float32)
+        maxstar_fold = maxstar_finite
+    else:
+        maxstar_fold = np.logaddexp
 
-    # add the log prior of each amplitude as a product over bits, then
-    # exclude the bit being demapped so its own prior never feeds back
-    own = [[log_bit[j][labels[k, j]] for j in range(q)] for k in range(m)]
-    for k in range(m):
-        logw[k] += sum_columns(own[k])
+    own = None
+    if not (single and probs.min() == probs.max() == 1.0 / m):
+        # per-bit prior marginals recovered from the amplitude
+        # probabilities: log_bit[j][b] is log P(bit j = b)
+        log_bit = []
+        for j in range(q):
+            p0 = sum_columns([cols[k] for k in range(m) if labels[k, j] == 0])
+            log_bit.append(tuple(
+                np.log(np.maximum(p, 1e-300)).astype(dtype, copy=False)
+                for p in (p0, 1.0 - p0)))
 
-    llr = np.empty(mean.shape + (q,))
+        # add the log prior of each amplitude as a product over bits, then
+        # exclude the bit being demapped so its own prior never feeds back
+        own = [[log_bit[j][labels[k, j]] for j in range(q)] for k in range(m)]
+        for k in range(m):
+            logw[k] += sum_columns(own[k])
+
+    llr = np.empty(mean.shape + (q,), dtype)
     for j in range(q):
-        w = [logw[k] - own[k][j] for k in range(m)]
-        num = fold_columns(np.logaddexp,
+        w = logw if own is None else [logw[k] - own[k][j] for k in range(m)]
+        num = fold_columns(maxstar_fold,
                            [w[k] for k in range(m) if labels[k, j] == 0])
-        den = fold_columns(np.logaddexp,
+        den = fold_columns(maxstar_fold,
                            [w[k] for k in range(m) if labels[k, j] == 1])
         np.subtract(num, den, out=llr[..., j])
     return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)

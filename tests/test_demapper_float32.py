@@ -21,6 +21,9 @@ The inputs are:
   1e-4 of a decision boundary, where an LLR is the small difference of
   two large Gaussian exponents;
 - one-hot priors, priors with zeroed amplitudes, and uniform priors.
+
+The dtype-flow test pins where float32 enters: `jdd_stage` asks the
+demapper for float32 LLRs and hands them to the decoder uncast.
 """
 
 from functools import lru_cache
@@ -28,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from epturbo import epdetect
 from epturbo.channel import REAL_NOISE_VAR, SnrSpec, snr_scale
 from epturbo.epdetect import (
     DampingSchedule,
@@ -36,6 +40,7 @@ from epturbo.epdetect import (
     JddReceiver,
     codeword_frames,
     frame_geometry,
+    jdd_receive_batch,
     stage_feedback,
 )
 from epturbo.modem import Constellation, demap_llr
@@ -165,3 +170,35 @@ def test_extreme_and_uniform_priors(order, prior_kind):
     assert_within_contract(mean, var, probs, c)
     # one unbatched dimension set, as `demap_llr` takes a single frame
     assert_within_contract(mean[0], var[0], probs[0], c)
+
+
+def test_jdd_stage_demaps_in_float32_for_the_decoder(monkeypatch):
+    demapped, decoded = [], []
+
+    def recording_demap(*args, **kwargs):
+        llr = demap_llr(*args, **kwargs)
+        demapped.append((kwargs.get("dtype"), llr))
+        return llr
+
+    def recording_decode(ch_llrs, *args, **kwargs):
+        decoded.append(ch_llrs)
+        return _decode_batch(ch_llrs, *args, **kwargs)
+
+    monkeypatch.setattr(epdetect, "demap_llr", recording_demap)
+    monkeypatch.setattr(epdetect, "_decode_batch", recording_decode)
+    c = Constellation(16)
+    codec = TurboCodec(k=40, decoder="scaled-max-log", n_iter=2)
+    spec = SnrSpec("eb-uncoded", 10.0, 16, code_rate=codec.rate)
+    _, _, h_r, y_r = codeword_frames(codec, c, "rayleigh", NT, NR, 0.0,
+                                     snr_scale(spec, NT, NR), 8,
+                                     np.random.default_rng(3))
+    receiver = JddReceiver(
+        codec=codec, constellation=c,
+        schedules=np.tile(DampingSchedule.constant(0.1, 3).raw, (2, 1)))
+    jdd_receive_batch(h_r, y_r, receiver)
+    assert [dtype for dtype, _ in demapped] == [np.float32, np.float32]
+    assert [llr.dtype for llr in decoded] == [np.float32, np.float32]
+    for (_, llr), ch_llrs in zip(demapped, decoded):
+        # the decoder reads the demapper's own LLRs, filler dropped
+        assert np.shares_memory(llr, ch_llrs)
+        assert np.array_equal(llr.reshape(8, -1)[:, : codec.n_coded], ch_llrs)

@@ -719,11 +719,11 @@ class TestOnlineTrain:
             cfg = EpConfig(layers=3, init_gamma=gamma, init_lambda=lam)
             x_ab, v_ab, _ = _epnet_core(ds.h_r, ds.y_r, ds.noise_var, probs, c,
                                         sched.raw, cfg, record=False)
-            llr = demap_llr(x_ab, v_ab, probs, c).reshape(b, -1)
-            # the JDD stage decodes in float32
-            _, _, ext = _decode_batch(
-                llr[:, : codec.n_coded].astype(np.float32), codec,
-                want_feedback=True)
+            # the JDD stage demaps and decodes in float32
+            llr = demap_llr(x_ab, v_ab, probs, c,
+                            dtype=np.float32).reshape(b, -1)
+            _, _, ext = _decode_batch(llr[:, : codec.n_coded], codec,
+                                      want_feedback=True)
             probs, gamma, lam = stage_feedback(ext, rx, stats.nt)
 
     @pytest.mark.parametrize("stages, coded", [(1, False), (1, True),

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from epturbo.modem import (
+    LLR_CLAMP,
     Constellation,
     demap_llr,
     llr_to_prior,
     map_bits,
     maxstar,
+    maxstar_finite,
+    maxstar_reduce,
+    prior_probs_from_llr,
     uniform_prior,
 )
 
@@ -211,8 +215,104 @@ def test_demap_uses_other_bit_priors_extrinsically():
     assert abs(l2[0, 0] - l0[0, 0]) > 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
+def test_demap_rejects_other_dtypes(dtype):
+    c = Constellation(16)
+    prior = uniform_prior(c, 2)
+    with pytest.raises(ValueError, match="float32 or float64"):
+        demap_llr(np.zeros(2), np.ones(2), prior, c, dtype=dtype)
+
+
 def test_maxstar_matches_logsumexp():
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=100), rng.normal(size=100)
     ref = np.log(np.exp(a) + np.exp(b))
     assert np.allclose(maxstar(a, b), ref, atol=1e-12)
+
+
+def reference_prior_probs_from_llr(llr, constellation):
+    """The former body of `prior_probs_from_llr`: bit probabilities
+    stacked as (p0, 1 - p0), gathered by label per rail, and the rails
+    concatenated."""
+    q = constellation.bits_per_dim
+    llr = np.clip(np.asarray(llr, dtype=float), -LLR_CLAMP, LLR_CLAMP)
+    p0 = 1.0 / (1.0 + np.exp(-llr))
+    bp = np.stack([p0, 1.0 - p0], axis=-1)
+    labels = constellation.labels
+
+    def rail(bit_probs):
+        out = np.ones(bit_probs.shape[:-2] + (constellation.n_amplitudes,))
+        for j in range(q):
+            out = out * bit_probs[..., j, labels[:, j]]
+        return out
+
+    probs = np.concatenate([rail(bp[..., :q, :]), rail(bp[..., q:, :])], axis=-2)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("lead", [(4608, 4), (7, 3), (5,)])
+def test_prior_probs_from_llr_equals_reference(constellation, lead):
+    rng = np.random.default_rng(sum(lead) + constellation.order)
+    shape = lead + (constellation.bits_per_symbol,)
+    cases = [rng.normal(scale=8.0, size=shape),
+             # saturated past the clamp, either sign, and exact zeros
+             rng.choice([-80.0, -50.0, 0.0, 50.0, 80.0], size=shape)]
+    for llr in cases:
+        got = prior_probs_from_llr(llr, constellation)
+        ref = reference_prior_probs_from_llr(llr, constellation)
+        assert got.shape == ref.shape == lead[:-1] + (
+            2 * lead[-1], constellation.n_amplitudes)
+        assert np.array_equal(got, ref)
+
+
+def maxstar_args(dtype):
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1e4, 1e4, 30000)
+    # pairs close enough that the correction term matters, and pairs
+    # whose exact correction term is subnormal in float32 or float64
+    b = np.concatenate([rng.uniform(-1e4, 1e4, 10000),
+                        a[10000:20000] + rng.uniform(-40.0, 40.0, 10000),
+                        a[20000:] + rng.choice([-1, 1], 10000)
+                        * rng.uniform(80.0, 760.0, 10000)])
+    return a.astype(dtype), b.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxstar_finite_matches_logaddexp(dtype):
+    a, b = maxstar_args(dtype)
+    got = maxstar_finite(a, b)
+    ref = np.logaddexp(a, b)
+    assert got.dtype == ref.dtype == dtype
+    # a few ulp of the largest operand of the final addition
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(ref))
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(scale))
+    # argument order does not matter, and `out` may alias an argument
+    assert np.array_equal(maxstar_finite(b, a), got)
+    acc = a.copy()
+    assert maxstar_finite(acc, b, out=acc) is acc
+    assert np.array_equal(acc, got)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxstar_finite_of_equal_arguments_adds_log2(dtype):
+    a = np.linspace(-1e4, 1e4, 1001).astype(dtype)
+    assert np.array_equal(maxstar_finite(a, a), a + dtype(np.log(2.0)))
+
+
+def test_maxstar_finite_takes_finite_arguments_only():
+    # -inf - (-inf) is NaN: infinite weights must not reach it, and the
+    # float32 demapper floors its weights so that none do
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        maxstar_finite(np.array([-np.inf]), np.array([-np.inf]))
+
+
+def test_log_map_maxstar_stays_logaddexp():
+    # the log-MAP BCJR keeps its bits: `maxstar` and `maxstar_reduce`
+    # are `np.logaddexp` and its reduction, infinities included
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(scale=30.0, size=(2, 64, 8))
+    a[0, 0] = b[0, 0] = -np.inf
+    assert np.array_equal(maxstar(a, b), np.logaddexp(a, b))
+    assert np.array_equal(maxstar_reduce(a), np.logaddexp.reduce(a, axis=-1))
+    assert np.array_equal(maxstar_reduce(a, axis=0),
+                          np.logaddexp.reduce(a, axis=0))
