@@ -129,12 +129,19 @@ def sample_rayleigh(nt, nr, rng, size=None):
     """I.i.d. complex Gaussian channel, per-entry variance 1/Nr.
 
     With `size` given, returns a stacked array of matrices (size, nr, nt)
-    instead of a ComplexChannel; the harness uses that path.
+    instead of a ComplexChannel; the harness uses that path.  One draw
+    gives each entry's real and imaginary parts side by side, and the
+    result is a contiguous complex view of that draw, not a copy.
     """
     shape = (nr, nt) if size is None else (size, nr, nt)
-    h = rng.normal(scale=np.sqrt(0.5 / nr), size=shape + (2,))
-    h = h[..., 0] + 1j * h[..., 1]
+    h = _complex_normal(rng, np.sqrt(0.5 / nr), shape)
     return ComplexChannel(h) if size is None else h
+
+
+def _complex_normal(rng, scale, shape):
+    """Complex normal draw of `shape`, each part N(0, scale^2): a complex
+    view of one real draw of `shape + (2,)`, real part first."""
+    return rng.normal(scale=scale, size=shape + (2,)).view(np.complex128)[..., 0]
 
 
 def _exp_corr_sqrt(n, rho):
@@ -173,9 +180,10 @@ def sample_channels(kind, nt, nr, rho, rng, size):
 
 def _receive(h, x, rng):
     """y = H x + n over stacked channels (..., nr, nt) and symbols (..., nt)."""
-    noise = rng.normal(scale=np.sqrt(REAL_NOISE_VAR),
-                       size=x.shape[:-1] + (h.shape[-2], 2))
-    return np.einsum("...ij,...j->...i", h, x) + noise[..., 0] + 1j * noise[..., 1]
+    y = np.einsum("...ij,...j->...i", h, x)
+    y += _complex_normal(rng, np.sqrt(REAL_NOISE_VAR),
+                         x.shape[:-1] + (h.shape[-2],))
+    return y
 
 
 def observe(h, x, rng):
@@ -199,7 +207,16 @@ def to_real(ch, y, constellation=None):
 
 
 def real_embedding(h, y):
-    """Raw embedding of stacked channels (..., nr, nt) and received (..., nr)."""
-    h_r = np.block([[h.real, -h.imag], [h.imag, h.real]])
+    """Raw embedding of stacked channels (..., nr, nt) and received (..., nr).
+
+    The four blocks Re H, -Im H, Im H, Re H are written into one
+    preallocated (..., 2nr, 2nt) array.
+    """
+    nr, nt = h.shape[-2:]
+    h_r = np.empty(h.shape[:-2] + (2 * nr, 2 * nt))
+    h_r[..., :nr, :nt] = h.real
+    np.negative(h.imag, out=h_r[..., :nr, nt:])
+    h_r[..., nr:, :nt] = h.imag
+    h_r[..., nr:, nt:] = h.real
     y_r = np.concatenate([y.real, y.imag], axis=-1)
     return h_r, y_r

@@ -385,13 +385,20 @@ class EpWorkspace:
     `hty` are batch-major (B, n, n) and (B, n) views of that memory,
     the shapes `_global_moments_batch` takes.  Their einsums add the
     same products in the same order as batch-major ones, so the values
-    are the same bit for bit.
+    are the same bit for bit.  H^T H is formed one row at a time from
+    its diagonal on, and each row is mirrored into its column: the sum
+    over the receive dimension runs in the same order for (i, j) and
+    (j, i), so the matrix is symmetric and equals the full product bit
+    for bit, at about half its cost.
     """
 
     def __init__(self, h_r, y_r, noise_var, constellation, min_var):
         batch, _, n = h_r.shape
         h_t = np.ascontiguousarray(h_r.transpose(2, 1, 0))
-        hth = np.einsum("irb,jrb->ijb", h_t, h_t, out=np.empty((n, n, batch)))
+        hth = np.empty((n, n, batch))
+        for i in range(n):
+            np.einsum("rb,jrb->jb", h_t[i], h_t[i:], out=hth[i, i:])
+            hth[i + 1:, i] = hth[i, i + 1:]
         hth /= noise_var
         hty = np.einsum("irb,rb->ib", h_t, np.ascontiguousarray(y_r.T),
                         out=np.empty((n, batch)))
@@ -692,7 +699,8 @@ def codeword_frames(codec, constellation, kind, nt, nr, rho, scale, n_frames,
     tx[:, codec.n_coded :] = rng.integers(0, 2, (n_frames, filler * q2))
     syms = map_bits(tx, constellation).reshape(n_frames, n_blocks, nt)
     h = sample_channels(kind, nt, nr, rho, rng, n_frames * n_blocks)
-    h = np.sqrt(scale) * h.reshape(n_frames, n_blocks, nr, nt)
+    h = h.reshape(n_frames, n_blocks, nr, nt)
+    h *= np.sqrt(scale)
     return (msgs, syms, *observe(h, syms, rng))
 
 

@@ -11,7 +11,6 @@ import csv
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +77,8 @@ class ExperimentConfig:
             raise ValueError("max_bits must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        for name in ("nt", "nr", "ep_layers", "jdd_stages", "decoder_iters"):
+        for name in ("nt", "nr", "ep_layers", "jdd_stages", "decoder_iters",
+                     "chunk_frames"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if not 0 < self.fixed_damping < 1:
@@ -158,8 +158,9 @@ def _uncoded_chunk(config, scale, rng, n_frames):
     c = Constellation(config.mod_order)
     tx = rng.integers(0, 2, (n_frames, config.nt * c.bits_per_symbol))
     x = map_bits(tx, c)
-    h = np.sqrt(scale) * sample_channels(config.channel_kind, config.nt,
-                                         config.nr, config.rho, rng, n_frames)
+    h = sample_channels(config.channel_kind, config.nt, config.nr, config.rho,
+                        rng, n_frames)
+    h *= np.sqrt(scale)
     h_r, y_r = observe(h, x, rng)
     return tx, h_r, y_r, c
 
@@ -316,6 +317,9 @@ def run_sweep(config, theta=None, extra_variants=None):
     records = []
     pool = None
     if config.workers > 1:
+        # imported here: a serial sweep or CLI start-up should not pay for
+        # loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=config.workers)
     try:
         for snr_idx, snr_db in enumerate(config.snr_grid_db):
@@ -437,7 +441,8 @@ def compare_oracle(oracle_config):
         n = min(chunk, left)
         left -= n
         tx = rng.integers(0, 2, (n, cfg.nt * q2))
-        h = np.sqrt(scale) * sample_rayleigh(cfg.nt, cfg.nr, rng, size=n)
+        h = sample_rayleigh(cfg.nt, cfg.nr, rng, size=n)
+        h *= np.sqrt(scale)
         h_r, y_r = observe(h, map_bits(tx, c), rng)
         ep_bits = _hard_bits(h_r, y_r, c, raw, cfg.min_var)
         ml_bits = _hard_bits(h_r, y_r, c)

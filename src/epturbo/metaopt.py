@@ -553,8 +553,8 @@ def generate_training_set(stats, rng=None):
     b, nt, nr = stats.n_samples, stats.nt, stats.nr
     # H before the bits, unlike the sweeps: this order fixes every
     # trained schedule
-    h = np.sqrt(snr_scale(stats.snr, nt, nr)) * sample_channels(
-        stats.kind, nt, nr, stats.rho, rng, b)
+    h = sample_channels(stats.kind, nt, nr, stats.rho, rng, b)
+    h *= np.sqrt(snr_scale(stats.snr, nt, nr))
     bits = rng.integers(0, 2, (b, nt * c.bits_per_symbol))
     x = map_bits(bits, c)
     h_r, y_r = observe(h, x, rng)

@@ -154,10 +154,16 @@ class Constellation:
         return self.amplitudes.size
 
     def amp_indices(self, bits):
-        """Map bit rows (..., Q/2) to amplitude indices via the Gray labeling."""
+        """Map bit rows (..., Q/2) to amplitude indices via the Gray labeling.
+
+        The label integer is built most significant bit first as
+        2 * label + bit, with no reduction over the 1-3 wide bit axis.
+        """
         bits = np.asarray(bits)
-        weights = 1 << np.arange(self.bits_per_dim - 1, -1, -1)
-        label_int = (bits * weights).sum(axis=-1)
+        label_int = bits[..., 0].astype(np.int64)
+        for j in range(1, self.bits_per_dim):
+            label_int *= 2
+            label_int += bits[..., j]
         return self._amp_index_of_label[label_int]
 
 
@@ -205,10 +211,11 @@ def map_bits(bits, constellation):
         )
     groups = bits.reshape(*bits.shape[:-1], -1, q2)
     q = constellation.bits_per_dim
-    idx_i = constellation.amp_indices(groups[..., :q])
-    idx_q = constellation.amp_indices(groups[..., q:])
     amps = constellation.amplitudes
-    return amps[idx_i] + 1j * amps[idx_q]
+    syms = np.empty(groups.shape[:-1], dtype=complex)
+    syms.real = amps[constellation.amp_indices(groups[..., :q])]
+    syms.imag = amps[constellation.amp_indices(groups[..., q:])]
+    return syms
 
 
 def uniform_prior(constellation, n_dims):

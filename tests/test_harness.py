@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,6 +56,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(mod_order=64, message_len=40,
                          variants=("jdd",)).validate()
+
+    @pytest.mark.parametrize("frames", [0, -3])
+    def test_chunk_frames_floor(self, frames):
+        cfg = small_config(chunk_frames=frames)
+        with pytest.raises(ValueError, match="chunk_frames must be at least 1"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="chunk_frames must be at least 1"):
+            run_sweep(cfg)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # run_sweep imports the pool only when it runs with workers > 1
+    code = ("import sys, epturbo.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestSweep:
