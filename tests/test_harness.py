@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import epturbo
 from epturbo.harness import (
     BerRecord,
     ExperimentConfig,
@@ -70,10 +71,8 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     # run_sweep imports the pool only when it runs with workers > 1
     code = ("import sys, epturbo.cli; "
             "print('concurrent.futures.process' in sys.modules)")
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    src = os.path.dirname(os.path.dirname(epturbo.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
